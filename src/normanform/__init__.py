@@ -9,15 +9,15 @@ from .delta import DeltaProfile, delta_profile, dn_exact, dn_valuation
 from .green import (GreenDecomposition, GreenIdentityReport, GreenIdentityViolation,
                     check_green_identities, decompose)
 from .groupengine import (GroupReport, PermGroup, diagonal_embed, dihedral_elements,
-                          generator_census, group_generators, group_order, membership,
-                          phi_image, preserves_blocks, residue_blocks, verify_wreath)
+                          generator_census, group_generators, phi_image, preserves_blocks,
+                          residue_blocks, verify_wreath)
 from .jordan import (FastPathResult, JordanResult, Partition, deviation, jordan_result,
                      lambda_of, pi_fast_path, pi_of)
 from .oracle import (DEFAULT_CAP, DimensionCapExceeded, MatrixGFp, build_tensor,
                      jcf_partition_single_eigenvalue, nilpotent_mu, oracle_lambda,
                      oracle_nilpotent, rank_gfp)
 from .parith import (PPartDecomposition, binom_valuation, ensure_prime, is_prime,
-                     mod_interval, p_adic_valuation, p_parts, p_power_at_least)
+                     p_adic_valuation, p_parts, p_power_at_least)
 from .perm import (CycleParseError, Permutation, compose, conjugate, embed,
                    format_cycles, identity, parse_cycles, rev, transposition)
 from .standardness import (EquivalenceReport, EquivalenceViolation, StandardnessReport,

@@ -13,9 +13,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 from . import corr as corr_mod
 from . import green as green_mod
@@ -23,7 +21,7 @@ from . import groupengine as ge
 from . import jordan, oracle, standardness
 from .delta import delta_profile
 from .parith import ensure_prime, p_parts, p_power_at_least
-from .perm import compose, embed, format_cycles, parse_cycles, rev, transposition
+from .perm import compose, format_cycles, parse_cycles
 
 
 class UsageError(ValueError):
@@ -75,7 +73,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # -- single-query commands ----------------------------------------------------
 
 
-def cmd_lambda(args) -> int:
+def cmd_query(args) -> int:
+    """`lambda` and `pi`: the same JSON payload; the text line is lambda or pi."""
     r, s, swapped = _swap_rs(args)
     res = jordan.jordan_result(r, s, args.p)
     if args.json:
@@ -87,23 +86,8 @@ def cmd_lambda(args) -> int:
             "method": res.method,
             "swapped": swapped,
         })
-    else:
+    elif args.command == "lambda":
         _emit(args, " ".join(str(v) for v in res.lam.parts))
-    return 0
-
-
-def cmd_pi(args) -> int:
-    r, s, swapped = _swap_rs(args)
-    res = jordan.jordan_result(r, s, args.p)
-    if args.json:
-        _emit_json(args, {
-            "r": r, "s": s, "p": args.p,
-            "lambda": list(res.lam.parts),
-            "pi": format_cycles(res.pi),
-            "epsilon": list(res.epsilon.entries),
-            "method": res.method,
-            "swapped": swapped,
-        })
     else:
         _emit(args, format_cycles(res.pi))
     return 0
@@ -224,11 +208,9 @@ def cmd_corr(args) -> int:
 # -- table reproduction -------------------------------------------------------
 
 
-def _pi3_rows(p: int) -> tuple[list[tuple[str, str, str]], bool]:
-    """Rows (class, value, status) of the small-r table for one prime; computed, then
-    compared against the closed-form lane."""
-    e = 2 if p == 2 else 1
-    q = p**e
+def _pi3_rows(p: int, q: int) -> tuple[list[tuple[str, str, str]], bool]:
+    """Rows (class, value, status) of the small-r table for one prime and its modulus q;
+    computed, then compared against the closed-form lane."""
     rows = []
     ok = True
     classes: list[tuple[str, list[int]]] = [
@@ -242,11 +224,12 @@ def _pi3_rows(p: int) -> tuple[list[tuple[str, str, str]], bool]:
             rows.append((label, "()", "vacuous"))
             continue
         values = set()
+        expected = set()
         for x in residues:
             s0 = x if x >= 3 else x + q
             for s in (s0, s0 + q, s0 + 2 * q):
                 values.add(jordan.pi_of(3, s, p))
-        expected = {jordan._pi3(x, p) for x in residues}
+            expected.add(jordan.pi_fast_path(3, s0, p).perm)
         if len(values) == 1 and values == expected:
             rows.append((label, format_cycles(values.pop()), "ok"))
         else:
@@ -256,37 +239,17 @@ def _pi3_rows(p: int) -> tuple[list[tuple[str, str, str]], bool]:
 
 
 def _small_s_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str, str]], bool]:
-    """Rows (case, formula, r-range, status) for the four small-residue cases."""
-    formulas = {
-        0: ("Rev(1,r)", 1),
-        1: ("Rev(2,r)", 2),
-        2: ("(1,2)Rev(3,r) if p|r else Rev(3,r)", 3),
-        3: ("pi(3,r,p)Rev(4,r)", 4),
-    }
+    """Rows (case, formula, r-range, status): each closed form of jordan.SMALL_RESIDUES
+    against the delta route at s = p^m + case."""
     rows = []
     all_ok = True
-    for case in range(4):
-        formula, rmin = formulas[case]
-        failures = []
-        for r in range(rmin, rmax + 1):
-            pm = p_power_at_least(r, p)[1]
-            s = pm + case
-            got = jordan.pi_of(r, s, p)
-            if case == 0:
-                want = rev(1, r, r)
-            elif case == 1:
-                want = rev(2, r, r)
-            elif case == 2:
-                want = rev(3, r, r)
-                if r % p == 0:
-                    want = compose(transposition(1, 2, r), want)
-            else:
-                want = compose(embed(jordan._pi3(r, p), r), rev(4, r, r))
-            if got != want:
-                failures.append(r)
+    for case, form in jordan.SMALL_RESIDUES.items():
+        failures = [r for r in range(form.rmin, rmax + 1)
+                    if jordan.pi_of(r, p_power_at_least(r, p)[1] + case, p)
+                    != form.value(r, p).perm]
         status = "ok" if not failures else "FAIL(r=" + ",".join(map(str, failures)) + ")"
         all_ok = all_ok and not failures
-        rows.append((str(case), formula, f"{rmin}..{rmax}", status))
+        rows.append((str(case), form.formula, f"{form.rmin}..{rmax}", status))
     return rows, all_ok
 
 
@@ -307,20 +270,18 @@ def cmd_table(args) -> int:
     ok = True
     if args.name == "pi3":
         for p in primes:
-            rows, good = _pi3_rows(p)
+            q = p * p if p == 2 else p
+            rows, good = _pi3_rows(p, q)
             ok = ok and good
-            e = 2 if p == 2 else 1
-            blocks.append(f"pi(3,s,p) for p={p} (modulus {p**e})\n"
+            blocks.append(f"pi(3,s,p) for p={p} (modulus {q})\n"
                           + _render_columns(["s_mod", "pi", "status"], rows))
-    elif args.name == "small-s":
+    else:
         rmax = args.rmax or 25
         for p in primes:
             rows, good = _small_s_rows(p, rmax)
             ok = ok and good
             blocks.append(f"pi(r,s,p) for small s mod p^m, p={p}\n"
                           + _render_columns(["case", "formula", "r", "status"], rows))
-    else:
-        raise UsageError(f"unknown table {args.name!r}")
     _emit(args, "\n\n".join(blocks))
     return 0 if ok else 1
 
@@ -330,14 +291,14 @@ def cmd_table(args) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated sweep request: grids, primes, checks, and rendering."""
+    """A validated sweep request: grids, primes and checks."""
 
     rmax: int
-    smax: Optional[int]  # None means one full period per (r, p)
+    # s runs from r to smax; "period" means one full period r..r+p^m per (r, p),
+    # and None leaves each check its own default
+    smax: int | str | None
     primes: tuple[int, ...]
     checks: tuple[str, ...]
-    format: str
-    workers: int
 
     def __post_init__(self):
         if self.rmax < 1:
@@ -350,55 +311,51 @@ class SweepSpec:
             if c not in _SWEEP_CHECKS:
                 raise UsageError(
                     f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
-        if self.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {self.workers}")
 
 
-def _rows_oracle_equiv(rmax, smax, primes, caps):
-    for p in primes:
-        for r in range(1, rmax + 1):
-            for s in range(r, (smax or rmax) + 1):
-                good = oracle.oracle_lambda(r, s, p, cap=caps[0]).parts == \
-                    jordan.lambda_of(r, s, p).parts
-                yield (r, s, p, "oracle-equiv", good, "")
+def _on_grid(cell, smax_default):
+    """Rows (r, s, p, passed, detail) of a per-cell check over p, then 1 <= r <= rmax,
+    then r <= s <= smax; smax_default ("rmax" or "period") applies when --smax is omitted."""
+    def rows(spec, caps):
+        smax = smax_default if spec.smax is None else spec.smax
+        if smax == "rmax":
+            smax = spec.rmax
+        for p in spec.primes:
+            for r in range(1, spec.rmax + 1):
+                top = r + p_power_at_least(r, p)[1] if smax == "period" else smax
+                for s in range(r, top + 1):
+                    yield (r, s, p, *cell(r, s, p, caps))
+    return rows
 
 
-def _rows_involution(rmax, smax, primes, caps):
-    for p in primes:
-        for r in range(1, rmax + 1):
-            for s in range(r, (smax or rmax) + 1):
-                pi = jordan.pi_of(r, s, p)
-                yield (r, s, p, "involution", compose(pi, pi).is_identity(), "")
+def _cell_oracle_equiv(r, s, p, caps):
+    return oracle.oracle_lambda(r, s, p, cap=caps[0]).parts == \
+        jordan.lambda_of(r, s, p).parts, ""
 
 
-def _rows_fast_path(rmax, smax, primes, caps):
-    for p in primes:
-        for r in range(1, rmax + 1):
-            for s in range(r, (smax or rmax) + 1):
-                hit = jordan.pi_fast_path(r, s, p)
-                if hit is None:
-                    yield (r, s, p, "fast-path", True, "absent")
-                else:
-                    good = hit.perm == jordan.pi_of(r, s, p)
-                    yield (r, s, p, "fast-path", good, hit.rule)
+def _cell_involution(r, s, p, caps):
+    pi = jordan.pi_of(r, s, p)
+    return compose(pi, pi).is_identity(), ""
 
 
-def _rows_six_way(rmax, smax, primes, caps):
-    for p in primes:
-        for r in range(1, rmax + 1):
-            pm = p_power_at_least(r, p)[1]
-            top = (r + pm) if smax is None else smax
-            for s in range(r, top + 1):
-                try:
-                    standardness.equivalence_report(r, s, p)
-                    yield (r, s, p, "six-way", True, "")
-                except standardness.EquivalenceViolation as exc:
-                    yield (r, s, p, "six-way", False, str(exc))
+def _cell_fast_path(r, s, p, caps):
+    hit = jordan.pi_fast_path(r, s, p)
+    if hit is None:
+        return True, "absent"
+    return hit.perm == jordan.pi_of(r, s, p), hit.rule
 
 
-def _rows_bijection(rmax, smax, primes, caps):
+def _cell_six_way(r, s, p, caps):
+    try:
+        standardness.equivalence_report(r, s, p)
+    except standardness.EquivalenceViolation as exc:
+        return False, str(exc)
+    return True, ""
+
+
+def _rows_bijection(spec, caps):
     from itertools import combinations
-    for r in range(1, rmax + 1):
+    for r in range(1, spec.rmax + 1):
         bad = 0
         total = 0
         for k in range(r):
@@ -410,22 +367,22 @@ def _rows_bijection(rmax, smax, primes, caps):
                         or corr_mod.subset_to_perm(T) != corr_mod.eps_to_perm(eps)
                         or corr_mod.perm_to_eps(corr_mod.subset_to_perm(T)) != eps):
                     bad += 1
-        yield (r, 0, 0, "bijection-roundtrip", bad == 0, f"subsets={total}")
+        yield (r, 0, 0, bad == 0, f"subsets={total}")
 
 
-def _rows_wreath(rmax, smax, primes, caps):
-    for p in primes:
-        for r in range(2, rmax + 1):
+def _rows_wreath(spec, caps):
+    for p in spec.primes:
+        for r in range(2, spec.rmax + 1):
             report = ge.verify_wreath(r, p, cap=caps[1])
-            detail = f"order={report.order}"
-            yield (r, 0, p, "wreath", report.verdict, detail)
+            yield (r, 0, p, report.verdict, f"order={report.order}")
 
 
+# name -> rows(spec, caps) yielding (r, s, p, passed, detail)
 _SWEEP_CHECKS = {
-    "oracle-equiv": _rows_oracle_equiv,
-    "involution": _rows_involution,
-    "fast-path": _rows_fast_path,
-    "six-way": _rows_six_way,
+    "oracle-equiv": _on_grid(_cell_oracle_equiv, "rmax"),
+    "involution": _on_grid(_cell_involution, "rmax"),
+    "fast-path": _on_grid(_cell_fast_path, "rmax"),
+    "six-way": _on_grid(_cell_six_way, "period"),
     "bijection-roundtrip": _rows_bijection,
     "wreath": _rows_wreath,
 }
@@ -436,22 +393,13 @@ def cmd_sweep(args) -> int:
         else ("oracle-equiv",)
     primes = tuple(_parse_int_list(args.primes, "--primes")) if args.primes else (2, 3)
     try:
-        smax = None if args.smax in (None, "period") else int(args.smax)
+        smax = args.smax if args.smax in (None, "period") else int(args.smax)
     except ValueError as exc:
         raise UsageError(f"--smax expects an integer or 'period', got {args.smax!r}") from exc
-    spec = SweepSpec(rmax=args.rmax or 8, smax=smax, primes=primes, checks=checks,
-                     format=args.format, workers=args.workers)
+    spec = SweepSpec(rmax=args.rmax or 8, smax=smax, primes=primes, checks=checks)
     caps = _caps(args)
-
-    def run_check(name):
-        return list(_SWEEP_CHECKS[name](spec.rmax, spec.smax, spec.primes, caps))
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            chunks = list(pool.map(run_check, spec.checks))
-    else:
-        chunks = [run_check(name) for name in spec.checks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [(r, s, p, name, okay, detail) for name in spec.checks
+            for r, s, p, okay, detail in _SWEEP_CHECKS[name](spec, caps)]
     rows.sort(key=lambda row: (row[3], row[2], row[0], row[1]))
 
     failures = [row for row in rows if not row[4]]
@@ -517,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, **opts)
         return sub
 
-    sub = add("lambda", cmd_lambda, help="Jordan partition of J_r (x) J_s over GF(p)")
+    sub = add("lambda", cmd_query, help="Jordan partition of J_r (x) J_s over GF(p)")
     _add_rsp(sub)
     sub.add_argument("--json", action="store_true")
 
-    sub = add("pi", cmd_pi, help="the Norman permutation in cycle notation")
+    sub = add("pi", cmd_query, help="the Norman permutation in cycle notation")
     _add_rsp(sub)
     sub.add_argument("--json", action="store_true")
 
@@ -568,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--smax", type=str, default=None, help="integer or 'period'")
     sub.add_argument("--primes", type=str, default=None)
     sub.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--cap", type=int, default=None)
 
     return parser

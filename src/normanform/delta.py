@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .parith import binom_valuation, ensure_prime
+from .parith import _carries, ensure_prime
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,15 @@ def dn_valuation(r: int, s: int, p: int, n: int) -> int:
     _check_params(r, s, p)
     if not 1 <= n <= r:
         raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
+    return _dn_valuation(r, s, p, n)
+
+
+def _dn_valuation(r: int, s: int, p: int, n: int) -> int:
+    # sum over i < n of v_p C(s+r-2n+i, s-n) - v_p C(s-n+i, s-n), by Kummer
     total = 0
     for i in range(n):
-        total += binom_valuation(s + r - 2 * n + i, s - n, p)
-        total -= binom_valuation(s - n + i, s - n, p)
+        total += _carries(s - n, r - n + i, p)
+        total -= _carries(s - n, i, p)
     if total < 0:
         raise RuntimeError(
             f"negative valuation {total} for D_{n}({r},{s}) at p={p}; "
@@ -80,7 +85,7 @@ def dn_exact(r: int, s: int, n: int) -> int:
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
     """Full delta/L/R profile for (r, s, p)."""
     _check_params(r, s, p)
-    delta = [1] + [1 if dn_valuation(r, s, p, n) == 0 else 0 for n in range(1, r)] + [1]
+    delta = [1] + [1 if _dn_valuation(r, s, p, n) == 0 else 0 for n in range(1, r)] + [1]
     L = [0] * r
     R = [0] * r
     last_one = 0

@@ -131,18 +131,17 @@ class PermGroup:
     # -- queries ------------------------------------------------------------
 
     def order(self) -> int:
+        """Exact order from the stabilizer chain."""
         out = 1
         for lvl in self._levels:
             out *= len(lvl.transversal)
         return out
 
     def contains(self, g: Permutation) -> bool:
+        """True iff g lies in the group, decided by chain sifting."""
         if g.degree != self.degree:
             raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
         return self._sift_from(0, g).is_identity()
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.contains(g)
 
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.beta for lvl in self._levels)
@@ -175,39 +174,23 @@ def closure(generators: Iterable[Permutation], degree: int,
 # -- Norman-involution generators -------------------------------------------
 
 
-def group_generators(r: int, p: int) -> list[Permutation]:
-    """Distinct nontrivial pi(r, s, p) over one full period r <= s <= r + p^m - 1."""
+def _one_period(r: int, p: int) -> list[Permutation]:
+    """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s."""
     ensure_prime(p)
     if r < 2:
         raise ValueError(f"need r >= 2, got {r!r}")
     pm = p_power_at_least(r, p)[1]
-    out: list[Permutation] = []
-    seen = set()
-    for s in range(r, r + pm):
-        g = pi_of(r, s, p)
-        if not g.is_identity() and g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+    return [pi_of(r, s, p) for s in range(r, r + pm)]
+
+
+def group_generators(r: int, p: int) -> list[Permutation]:
+    """Distinct nontrivial pi(r, s, p) over one full period, in order of first appearance."""
+    return list(dict.fromkeys(g for g in _one_period(r, p) if not g.is_identity()))
 
 
 def generator_census(r: int, p: int) -> int:
     """Number of distinct pi(r, s, p) over one period, the identity included."""
-    ensure_prime(p)
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r!r}")
-    pm = p_power_at_least(r, p)[1]
-    return len({pi_of(r, s, p) for s in range(r, r + pm)})
-
-
-def group_order(G: PermGroup) -> int:
-    """Exact order from the stabilizer chain."""
-    return G.order()
-
-
-def membership(G: PermGroup, g: Permutation) -> bool:
-    """True iff g lies in the group, decided by chain sifting."""
-    return G.contains(g)
+    return len(set(_one_period(r, p)))
 
 
 # -- block systems and wreath structure --------------------------------------
@@ -335,8 +318,8 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
 
     if a > 1:
         a_cycle = Permutation(tuple(range(2, a + 1)) + (1,))
-        diagonal_ok = (diagonal_embed(transposition(1, 2, a), a, b) in G
-                       and diagonal_embed(a_cycle, a, b) in G)
+        diagonal_ok = (G.contains(diagonal_embed(transposition(1, 2, a), a, b))
+                       and G.contains(diagonal_embed(a_cycle, a, b)))
     else:
         diagonal_ok = True
 

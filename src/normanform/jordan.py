@@ -7,7 +7,7 @@ fast-path identities usable as independent evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import corr
 from .corr import DeviationVector, SubsetProfile
@@ -152,6 +152,27 @@ def _pi3(s: int, p: int) -> Permutation:
     return identity(3)
 
 
+class SmallResidueForm(NamedTuple):
+    """pi(r, s, p) in closed form for s = residue mod p^m (p^m >= r), from r = rmin on."""
+
+    formula: str  # as `table --name small-s` prints it
+    rmin: int
+    value: Callable[[int, int], FastPathResult]  # (r, p) -> value and its rule
+
+
+# The closed forms at the residues 0..3: the fast path dispatches on this table
+# and `table --name small-s` checks it against the delta route.
+SMALL_RESIDUES = {
+    0: SmallResidueForm("Rev(1,r)", 1, lambda r, p: FastPathResult(rev(1, r, r), "residue-0")),
+    1: SmallResidueForm("Rev(2,r)", 2, lambda r, p: FastPathResult(rev(2, r, r), "residue-1")),
+    2: SmallResidueForm("(1,2)Rev(3,r) if p|r else Rev(3,r)", 3, lambda r, p: (
+        FastPathResult(rev(3, r, r), "residue-2") if r % p else
+        FastPathResult(compose(transposition(1, 2, r), rev(3, r, r)), "residue-2-pdivr"))),
+    3: SmallResidueForm("pi(3,r,p)Rev(4,r)", 4, lambda r, p: FastPathResult(
+        compose(embed(_pi3(r, p), r), rev(4, r, r)), "residue-3")),
+}
+
+
 def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult]:
     # Small r: closed values.
     if r == 1:
@@ -170,18 +191,8 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
     sigma = s % pm  # periodicity: pi depends on s only through this residue
 
     # Small residues 0..3.
-    if sigma == 0:
-        return FastPathResult(rev(1, r, r), "residue-0")
-    if sigma == 1:
-        return FastPathResult(rev(2, r, r), "residue-1")
-    if sigma == 2:
-        base = rev(3, r, r)
-        if r % p == 0:
-            return FastPathResult(compose(transposition(1, 2, r), base), "residue-2-pdivr")
-        return FastPathResult(base, "residue-2")
-    if sigma == 3:
-        value = compose(embed(_pi3(r, p), r), rev(4, r, r))
-        return FastPathResult(value, "residue-3")
+    if sigma in SMALL_RESIDUES:
+        return SMALL_RESIDUES[sigma].value(r, p)
 
     # Residues b, 2b, b+1 above p^m for r with nontrivial p-part b.
     b = p_parts(r, p).b

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: primality, least residues, Kummer valuations, p-parts."""
+"""Exact arithmetic primitives: primality, Kummer valuations, p-parts."""
 
 from __future__ import annotations
 
@@ -6,19 +6,36 @@ from math import gcd
 from typing import NamedTuple
 
 
+# Miller-Rabin on the first 13 prime bases is exact below psi_13 (Sorenson and
+# Webster 2015). psi_13 itself is composite and passes all 13 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
+    """Deterministic Miller-Rabin; raises ValueError for n >= 3317044064679887385961981,
+    where the fixed bases no longer decide primality."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only for n < {_MR_LIMIT}, got {n!r}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        k += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -27,16 +44,6 @@ def ensure_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p must be a prime >= 2, got {p!r}")
     return p
-
-
-def mod_interval(n: int, ell: int) -> int:
-    """The unique representative of n modulo ell lying in [0, ell-1].
-
-    Correct for negative n: mod_interval(-1, 4) == 3.
-    """
-    if ell < 1:
-        raise ValueError(f"modulus must be a positive integer, got {ell!r}")
-    return n % ell
 
 
 def p_adic_valuation(n: int, p: int) -> int:
@@ -57,7 +64,12 @@ def binom_valuation(n: int, k: int, p: int) -> int:
     ensure_prime(p)
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    a, b = k, n - k
+    return _carries(k, n - k, p)
+
+
+def _carries(a: int, b: int, p: int) -> int:
+    """Carries when adding a and b in base p (Kummer); unchecked, for callers that
+    validated p already."""
     carries = 0
     carry = 0
     while a > 0 or b > 0 or carry:
@@ -83,11 +95,8 @@ def p_parts(r: int, p: int) -> PPartDecomposition:
     ensure_prime(p)
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    a, e = r, 0
-    while a % p == 0:
-        a //= p
-        e += 1
-    d = PPartDecomposition(r, a, r // a, e)
+    e = p_adic_valuation(r, p)
+    d = PPartDecomposition(r, r // p**e, p**e, e)
     assert d.a * d.b == r and gcd(d.a, p) == 1
     return d
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .delta import delta_profile
-from .jordan import Partition, lambda_of, pi_of
+from .jordan import Partition, _lambda_from_profile, _pi_from_profile
 from .parith import ensure_prime, p_power_at_least
 
 
@@ -84,7 +84,7 @@ def standard_partition(lam: Partition, r: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The six standardness conditions, evaluated independently."""
+    """The six standardness conditions."""
 
     r: int
     s: int
@@ -112,16 +112,18 @@ class EquivalenceReport:
 
 
 def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
-    """Evaluate all six conditions independently and insist they agree.
+    """Evaluate all six conditions and insist they agree.
 
-    Disagreement raises EquivalenceViolation naming the differing conditions;
-    the six are provably equivalent, so a violation is an implementation bug.
+    lambda, pi and the gaps come from one delta profile; the congruence
+    criterion does not use it. Disagreement raises EquivalenceViolation naming
+    the differing conditions; the six are provably equivalent, so a violation
+    is an implementation bug.
     """
     prof = delta_profile(r, s, p)
     report = EquivalenceReport(
         r, s, p,
-        standard_partition=standard_partition(lambda_of(r, s, p), r, s),
-        identity_permutation=pi_of(r, s, p).is_identity(),
+        standard_partition=standard_partition(_lambda_from_profile(prof), r, s),
+        identity_permutation=_pi_from_profile(prof).is_identity(),
         standard_triple=standard_triple(r, s, p).verdict,
         all_left_gaps_one=all(v == 1 for v in prof.L),
         all_right_gaps_zero=all(v == 0 for v in prof.R),

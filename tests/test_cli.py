@@ -1,6 +1,10 @@
 import json
+import time
+from pathlib import Path
 
 from normanform.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -26,6 +30,23 @@ def test_lambda_json(capsys):
     assert payload["epsilon"] == [0, 0]
     assert payload["method"] == "delta-route"
     assert payload["swapped"] is False
+
+
+def test_query_bytes_on_swapped_input(capsys):
+    assert run(capsys, "lambda", "--r", "7", "--s", "3", "--p", "5", "--json") == (
+        0, '{"r": 3, "s": 7, "p": 5, "lambda": [9, 7, 5], "pi": "()", "epsilon": [2, 0, -2], '
+           '"method": "delta-route", "swapped": true}\n')
+    assert run(capsys, "lambda", "--r", "9", "--s", "5", "--p", "2") == (0, "13 8 8 8 8\n")
+    assert run(capsys, "pi", "--r", "9", "--s", "5", "--p", "2") == (0, "(2,5)(3,4)\n")
+    assert run(capsys, "pi", "--r", "9", "--s", "5", "--p", "2", "--json") == (
+        0, '{"r": 5, "s": 9, "p": 2, "lambda": [13, 8, 8, 8, 8], "pi": "(2,5)(3,4)", '
+           '"epsilon": [4, -1, -1, -1, -1], "method": "delta-route", "swapped": true}\n')
+
+
+def test_pi_at_19_digit_prime(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "pi", "--r", "3", "--s", "4", "--p", "1000000000000000003") == (0, "()\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_swap_metadata(capsys):
@@ -114,6 +135,10 @@ def test_corr_usage_errors(capsys):
 def test_invalid_argument_exit(capsys):
     code, payload = run_json(capsys, "pi", "--r", "3", "--s", "4", "--p", "4")
     assert code == 2 and payload["error"]["code"] == "invalid-argument"
+    # beyond the range where primality is decided exactly
+    code, payload = run_json(capsys, "pi", "--r", "3", "--s", "4",
+                             "--p", "3317044064679887385961981")
+    assert code == 2 and payload["error"]["code"] == "invalid-argument"
 
 
 def test_table_pi3(capsys):
@@ -151,13 +176,25 @@ def test_sweep_six_way_period(capsys):
     assert code == 0
 
 
-def test_sweep_workers_deterministic(capsys):
-    args = ["sweep", "--checks", "involution,fast-path", "--rmax", "6",
-            "--primes", "2,3", "--format", "csv"]
-    code1, out1 = run(capsys, *args)
-    code2, out2 = run(capsys, *args, "--workers", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_sweep_smax_period_applies_to_every_check(capsys):
+    code, out = run(capsys, "sweep", "--checks", "involution,six-way", "--rmax", "2",
+                    "--primes", "3", "--smax", "period", "--format", "csv")
+    assert code == 0
+    cells: dict[str, list[tuple[str, str]]] = {}
+    for line in out.splitlines()[1:]:
+        r, s, _, check, _, _ = line.split(",")
+        cells.setdefault(check, []).append((r, s))
+    # one full period s = r..r+p^m: p^m = 1 for r = 1 and 3 for r = 2
+    period = [("1", "1"), ("1", "2"), ("2", "2"), ("2", "3"), ("2", "4"), ("2", "5")]
+    assert cells == {"involution": period, "six-way": period}
+
+
+def test_sweep_all_checks_golden(capsys):
+    code, out = run(capsys, "sweep", "--checks",
+                    "oracle-equiv,involution,fast-path,six-way,bijection-roundtrip,wreath",
+                    "--rmax", "8", "--smax", "20", "--primes", "2,3", "--format", "csv")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "sweep_all_r8_s20_p23.csv").read_bytes()
 
 
 def test_sweep_unknown_check(capsys):

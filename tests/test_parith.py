@@ -3,7 +3,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from normanform.parith import (binom_valuation, is_prime, mod_interval, p_adic_valuation,
+from normanform.parith import (binom_valuation, ensure_prime, is_prime, p_adic_valuation,
                                p_parts, p_power_at_least)
 
 
@@ -15,26 +15,6 @@ def big_binom_valuation(n: int, k: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def test_mod_interval_examples():
-    assert mod_interval(7, 5) == 2
-    assert mod_interval(-1, 4) == 3
-    assert mod_interval(12, 9) == 3
-
-
-def test_mod_interval_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_interval(3, 0)
-    with pytest.raises(ValueError):
-        mod_interval(3, -2)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
-def test_mod_interval_floor_identity(n, ell):
-    r = mod_interval(n, ell)
-    assert 0 <= r < ell
-    assert r + ell * (n // ell) == n
 
 
 def test_binom_valuation_examples():
@@ -83,6 +63,27 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
     for n in range(-2, 62):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_sieve():
+    n_max = 10**4
+    sieve = [False, False] + [True] * (n_max - 2)
+    for f in range(2, 100):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, n_max, f))
+    assert [n for n in range(n_max) if is_prime(n)] == [n for n in range(n_max) if sieve[n]]
+
+
+def test_is_prime_large():
+    # a Carmichael number and strong pseudoprimes to the bases 2..7 and 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3)
+    # psi_13 is composite, yet a strong pseudoprime to all 13 bases: rejected
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError):
+        ensure_prime(psi13)
 
 
 def test_p_adic_valuation():
