@@ -146,14 +146,10 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.beta for lvl in self._levels)
 
-    def elements(self, limit: int = 10000) -> frozenset[Permutation]:
-        """Closure enumeration; intended for small groups and self-checks only."""
-        return closure(self.generators, self.degree, limit)
-
 
 def closure(generators: Iterable[Permutation], degree: int,
             limit: int = 10000) -> frozenset[Permutation]:
-    """All products of the generators, by breadth-first closure; capped."""
+    """All products of the generators by breadth-first closure, capped; a test reference."""
     seen = {identity(degree)}
     frontier = [identity(degree)]
     gens = list(generators)
@@ -208,19 +204,6 @@ def _block_index(n: int, b: int) -> int:
     return (n - 1) % b + 1
 
 
-def preserves_blocks(g: Permutation, b: int) -> bool:
-    """True iff g maps each residue block onto a residue block."""
-    if g.degree % b:
-        return False
-    image: dict[int, int] = {}
-    for n in range(1, g.degree + 1):
-        j = _block_index(n, b)
-        jj = _block_index(g(n), b)
-        if image.setdefault(j, jj) != jj:
-            return False
-    return True
-
-
 def phi_image(g: Permutation, b: int) -> Permutation:
     """The permutation of block indices induced by g on the residue blocks."""
     if b < 1 or g.degree % b:
@@ -243,19 +226,6 @@ def diagonal_embed(sigma: Permutation, a: int, b: int) -> Permutation:
         for j in range(1, b + 1):
             images[(i - 1) * b + j - 1] = (sigma(i) - 1) * b + j
     return Permutation(tuple(images))
-
-
-def dihedral_elements(b: int) -> frozenset[Permutation]:
-    """The degree-b dihedral group (all of S_b for b <= 2) as an element set.
-
-    Generated by the reflections n -> (c - n mod b) + 1, matching the shape of
-    the induced block action of the Norman involutions.
-    """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b!r}")
-    gens = [Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1)))
-            for c in range(b)]
-    return closure(gens, b, limit=4 * b + 4)
 
 
 @dataclass(frozen=True)
@@ -286,6 +256,18 @@ def expected_wreath_order(a: int, b: int) -> int:
     return factorial(a) ** b * (2 * b if b >= 3 else b)
 
 
+def _generates_dihedral(images: list[Permutation], b: int) -> bool:
+    """True iff the images generate D_b, whose reflections n -> (c - n mod b) + 1
+    give the shape of the induced block action: iff |<images>| = |D_b| and
+    <images> contains every reflection. The order alone would accept any other
+    group of order |D_b|. Callers have already checked b <= r against the cap.
+    """
+    H = PermGroup(images, b, cap=b)
+    return H.order() == expected_wreath_order(1, b) and all(
+        H.contains(Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1))))
+        for c in range(b))
+
+
 def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     """Build the group for (r, p) and check every structural claim directly.
 
@@ -302,19 +284,16 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
         return GroupReport(r, p, 1, 1, 0, 1, 1, True, True, True, True)
     if r > cap:
         raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
-    a, b = p_parts(r, p).a, p_parts(r, p).b
+    _, a, b, _ = p_parts(r, p)
     gens = group_generators(r, p)
     G = PermGroup(gens, r, cap=cap)
 
-    blocks_invariant = all(preserves_blocks(g, b) for g in gens)
-    if blocks_invariant:
-        images = {phi_image(g, b) for g in gens}
-        try:
-            phi_ok = closure(images, b, limit=4 * b + 4) == dihedral_elements(b)
-        except DegreeCapExceeded:
-            phi_ok = False
+    try:
+        images = list(dict.fromkeys(phi_image(g, b) for g in gens))
+    except ValueError:
+        blocks_invariant = phi_ok = False
     else:
-        phi_ok = False
+        blocks_invariant, phi_ok = True, _generates_dihedral(images, b)
 
     if a > 1:
         a_cycle = Permutation(tuple(range(2, a + 1)) + (1,))

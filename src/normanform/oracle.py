@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .jordan import Partition
 from .parith import ensure_prime
@@ -34,6 +33,10 @@ class MatrixGFp:
         arr = np.asarray(self.entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        # elimination products reach (p-1)^2, and an entry of a row-basis product sums d of them
+        if arr.shape[0] * (self.p - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"dimension {arr.shape[0]} at p={self.p} overflows int64: "
+                             f"need dimension * (p-1)^2 < 2^63")
         arr = np.mod(arr, self.p)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -103,6 +106,8 @@ def _rank_sequence(N: np.ndarray, p: int) -> list[int]:
     form of (row basis of N^k) @ N. Raises ValueError if the rank stops
     decreasing before reaching 0, which certifies N is not nilpotent.
     """
+    from scipy import sparse  # imported here so that loading the package skips scipy
+
     d = N.shape[0]
     N_sparse = sparse.csr_matrix(N)
     basis = np.mod(N.copy(), p)

@@ -91,6 +91,12 @@ def test_oracle_cap_exit_code(capsys):
     assert code == 2 and payload["error"]["code"] == "resource-cap"
 
 
+def test_oracle_modulus_overflow_exit_code(capsys):
+    # dimension 12 * (p-1)^2 exceeds int64 at p = 10^10+19
+    code, payload = run_json(capsys, "oracle", "--r", "3", "--s", "4", "--p", "10000000019")
+    assert code == 2 and payload["error"]["code"] == "invalid-argument"
+
+
 def test_norman_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NORMAN_CAP", "10")
     code, payload = run_json(capsys, "oracle", "--r", "4", "--s", "4", "--p", "2")

@@ -3,12 +3,10 @@ from math import factorial
 
 import pytest
 
-from normanform.groupengine import (DegreeCapExceeded, PermGroup, closure,
-                                    diagonal_embed, dihedral_elements,
-                                    expected_wreath_order, generator_census,
-                                    group_generators,
-                                    phi_image, preserves_blocks, residue_blocks,
-                                    verify_wreath)
+from normanform.groupengine import (DegreeCapExceeded, PermGroup, _generates_dihedral,
+                                    closure, diagonal_embed, expected_wreath_order,
+                                    generator_census, group_generators, phi_image,
+                                    residue_blocks, verify_wreath)
 from normanform.jordan import pi_of
 from normanform.parith import p_power_at_least
 from normanform.perm import (Permutation, compose, format_cycles, identity, rev,
@@ -93,7 +91,6 @@ def test_phi_image_examples():
 def test_phi_image_rejects_block_breakers():
     with pytest.raises(ValueError):
         phi_image(transposition(1, 2, 6), 3)
-    assert not preserves_blocks(transposition(1, 2, 6), 3)
 
 
 def test_phi_image_formula_for_generators():
@@ -123,11 +120,24 @@ def test_diagonal_embed_examples():
     assert diagonal_embed(cyc, 3, 1) == cyc
 
 
-def test_dihedral_elements():
-    assert len(dihedral_elements(1)) == 1
-    assert len(dihedral_elements(2)) == 2
-    for b in (3, 4, 5, 8):
-        assert len(dihedral_elements(b)) == 2 * b
+def test_generates_dihedral_accepts_reflections():
+    for b in range(1, 9):
+        reflections = [Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1)))
+                       for c in range(b)]
+        assert _generates_dihedral(reflections, b), b
+
+
+def test_generates_dihedral_rejects_other_groups():
+    s4 = [transposition(1, 2, 4), Permutation((2, 3, 4, 1))]
+    assert PermGroup(s4, 4).order() == 24
+    assert not _generates_dihedral(s4, 4)
+    c6 = [Permutation((2, 3, 4, 5, 6, 1))]
+    assert PermGroup(c6, 6).order() == 6
+    assert not _generates_dihedral(c6, 6)
+    # A_4 on 6 points has order 12 = |D_6|: only the reflection membership rejects it
+    a4 = [Permutation((2, 3, 1, 4, 5, 6)), Permutation((2, 1, 4, 3, 5, 6))]
+    assert PermGroup(a4, 6).order() == expected_wreath_order(1, 6) == 12
+    assert not _generates_dihedral(a4, 6)
 
 
 def test_expected_wreath_order():

@@ -1,3 +1,9 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +118,56 @@ def test_matrix_immutable():
     M = build_tensor(2, 2, 2)
     with pytest.raises(ValueError):
         M.entries[0, 0] = 0
+
+
+def exact_rank_mod(rows, p):
+    """Rank mod p by Gaussian elimination on Python ints, which cannot overflow."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_rejects_int64_overflow():
+    # rank 1 over every field; int64 echelon products wrapped and gave 2
+    with pytest.raises(ValueError):
+        rank_gfp(MatrixGFp(10**10 + 19, [[4, -2], [2, -1]]))
+    with pytest.raises(ValueError):
+        MatrixGFp(10**9 + 7, np.eye(10, dtype=np.int64))
+
+
+def test_rank_matches_exact_elimination_at_large_prime():
+    p = 10**9 + 7
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                for i in range(n)]
+        # scaling each row by a unit mod p keeps the rank and makes the entries large
+        rows = [[x * c for x in row] for row, c in
+                zip(rows, [rng.randint(1, p - 1) for _ in range(n)])]
+        assert rank_gfp(MatrixGFp(p, rows)) == exact_rank_mod(rows, p), rows
+
+
+def test_package_import_skips_scipy():
+    code = ("import sys, normanform.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(normanform.oracle_lambda(3, 4, 2).parts)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "(4, 4, 4)"]
