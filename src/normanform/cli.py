@@ -95,8 +95,8 @@ def cmd_query(args) -> int:
 
 def cmd_standard(args) -> int:
     r, s, swapped = _swap_rs(args)
-    report = standardness.standard_triple(r, s, args.p)
     equiv = standardness.equivalence_report(r, s, args.p)
+    report = equiv.triple
     payload = {
         "r": r, "s": s, "p": args.p, "m": report.m,
         "matched_row": report.matched_row,

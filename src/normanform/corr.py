@@ -83,13 +83,22 @@ def _check_entries(entries: tuple[int, ...]) -> None:
             raise DeviationError(
                 "not-weakly-decreasing", (n, n + 1),
                 f"eps_{n} = {entries[n - 1]} < eps_{n + 1} = {entries[n]}")
-    # full pair scan so the first offending (i, j) is reported exactly
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            if entries[i - 1] - entries[j - 1] == j - i:
-                raise DeviationError(
-                    "forbidden-gap", (i, j),
-                    f"eps_{i} - eps_{j} = {j - i} = j - i at (i, j) = ({i}, {j})")
+    # eps_i - eps_j = j - i iff eps_i + i = eps_j + j: a forbidden gap is a repeated
+    # key. Report the least i that repeats, with its least j.
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for n in range(1, r + 1):
+        key = entries[n - 1] + n
+        if key not in first:
+            first[key] = n
+        elif key not in second:
+            second[key] = n
+    if second:
+        key = min(second, key=first.__getitem__)
+        i, j = first[key], second[key]
+        raise DeviationError(
+            "forbidden-gap", (i, j),
+            f"eps_{i} - eps_{j} = {j - i} = j - i at (i, j) = ({i}, {j})")
     for n in range(1, r + 1):
         if not (1 - n <= entries[n - 1] <= r - n):
             raise DeviationError(

@@ -2,10 +2,18 @@
 
 D_n(r, s) is the determinant of the n x n matrix with (i, j)-entry
 C(s+r-2n, s-n+i-j); it equals the product of binomial ratios
-prod_{i=0}^{n-1} C(s+r-2n+i, s-n) / C(s-n+i, s-n), which is how it is
-evaluated here. The main path never materialises the (huge) integer: only its
-p-adic valuation is accumulated via Kummer carry counts. The exact big-integer
-product is kept as a cross-check oracle for tests.
+prod_{i=0}^{n-1} C(s+r-2n+i, s-n) / C(s-n+i, s-n). Written as factorials, with
+F(x) = sum_{k<x} v_p(k!) (Legendre), its p-adic valuation is
+
+    v_p(D_n) = F(s+r-n) - F(s+r-2n) - F(r) + F(r-n) - F(s) + F(s-n) + F(n).
+
+Every argument lies in one of two windows, [0, r] and [s-r, s+r].
+delta_profile tabulates F on each window from one closed-form anchor,
+F(x) = (x(x-1)/2 - sum_{k<x} S_p(k)) / (p-1) with S_p the base-p digit sum,
+stepping by F(k+1) = F(k) + v_p(k!) and v_p((k+1)!) = v_p(k!) + v_p(k+1). One
+profile costs O(r + log_p s) integer operations; the huge integer D_n is never
+formed. The carry-count dn_valuation (Kummer) and the exact big-integer
+dn_exact are independent routes, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -43,24 +51,27 @@ def _check_params(r: int, s: int, p: int) -> None:
         raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
 
 
+def _negative(v: int, r: int, s: int, p: int, n: int) -> RuntimeError:
+    return RuntimeError(
+        f"negative valuation {v} for D_{n}({r},{s}) at p={p}; "
+        "this signals an internal arithmetic fault")
+
+
 def dn_valuation(r: int, s: int, p: int, n: int) -> int:
-    """p-adic valuation of D_n(r, s), as a signed sum of carry counts."""
+    """p-adic valuation of D_n(r, s), as a signed sum of Kummer carry counts.
+
+    Independent of the Legendre route of delta_profile; kept as its test oracle.
+    """
     _check_params(r, s, p)
     if not 1 <= n <= r:
         raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
-    return _dn_valuation(r, s, p, n)
-
-
-def _dn_valuation(r: int, s: int, p: int, n: int) -> int:
-    # sum over i < n of v_p C(s+r-2n+i, s-n) - v_p C(s-n+i, s-n), by Kummer
+    # sum over i < n of v_p C(s+r-2n+i, s-n) - v_p C(s-n+i, s-n)
     total = 0
     for i in range(n):
         total += _carries(s - n, r - n + i, p)
         total -= _carries(s - n, i, p)
     if total < 0:
-        raise RuntimeError(
-            f"negative valuation {total} for D_{n}({r},{s}) at p={p}; "
-            "this signals an internal arithmetic fault")
+        raise _negative(total, r, s, p, n)
     return total
 
 
@@ -82,10 +93,61 @@ def dn_exact(r: int, s: int, n: int) -> int:
     return num // den
 
 
+def _digit_sum_prefix(x: int, p: int) -> int:
+    """sum_{k<x} S_p(k), one base-p place at a time: O(log_p x)."""
+    total = 0
+    w = 1
+    while w < x:
+        cycles, rest = divmod(x, w * p)
+        digit, tail = divmod(rest, w)
+        # each whole cycle of w*p numbers puts every digit 0..p-1 at place w, w times
+        total += w * (cycles * (p * (p - 1) // 2) + digit * (digit - 1) // 2) + digit * tail
+        w *= p
+    return total
+
+
+def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
+    """[F(lo), F(lo+1), ..., F(hi)] for F(x) = sum_{k<x} v_p(k!)."""
+    f = (lo * (lo - 1) // 2 - _digit_sum_prefix(lo, p)) // (p - 1)
+    v = 0  # v_p(lo!) = sum_{i>=1} floor(lo / p^i)
+    q = p
+    while q <= lo:
+        v += lo // q
+        q *= p
+    window = [f]
+    for k in range(lo + 1, hi + 1):
+        f += v
+        window.append(f)
+        j = k
+        while j % p == 0:  # v_p(k!) = v_p((k-1)!) + v_p(k)
+            j //= p
+            v += 1
+    return window
+
+
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
     """Full delta/L/R profile for (r, s, p)."""
     _check_params(r, s, p)
-    delta = [1] + [1 if _dn_valuation(r, s, p, n) == 0 else 0 for n in range(1, r)] + [1]
+    return _profile(r, s, p)
+
+
+def _valuations(r: int, s: int, p: int) -> list[int]:
+    """[v_p(D_1), ..., v_p(D_{r-1})] from F tabulated on [0, r] and [s-r, s+r]."""
+    near = _legendre_window(0, r, p)         # near[x] = F(x)
+    far = _legendre_window(s - r, s + r, p)  # far[x - s + r] = F(x)
+    out = []
+    for n in range(1, r):
+        v = (far[2 * r - n] - far[2 * r - 2 * n] - near[r] + near[r - n]
+             - far[r] + far[r - n] + near[n])
+        if v < 0:
+            raise _negative(v, r, s, p, n)
+        out.append(v)
+    return out
+
+
+def _profile(r: int, s: int, p: int) -> DeltaProfile:
+    """delta_profile for callers that have checked (r, s, p) already."""
+    delta = [1] + [1 if v == 0 else 0 for v in _valuations(r, s, p)] + [1]
     L = [0] * r
     R = [0] * r
     last_one = 0

@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import corr
 from .corr import DeviationVector, SubsetProfile
-from .delta import DeltaProfile, delta_profile
-from .parith import ensure_prime, p_adic_valuation, p_parts, p_power_at_least
+from .delta import DeltaProfile, _profile, delta_profile
+from .parith import _p_power_at_least, _valuation, ensure_prime
 from .perm import Permutation, compose, conjugate, embed, identity, rev, transposition
 
 
@@ -105,7 +105,7 @@ def deviation(r: int, s: int, p: int) -> DeviationVector:
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
     """Assemble lambda, pi, epsilon for (r, s, p) and assert their mutual consistency."""
     _check_params(r, s, p)
-    prof = delta_profile(r, s, p)
+    prof = _profile(r, s, p)
     lam = _lambda_from_profile(prof)
     pi = _pi_from_profile(prof)
     eps = corr.validate_eps(part - s for part in lam.parts)
@@ -187,7 +187,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
     if s <= p <= r + s - 2:
         return FastPathResult(rev(1, r + s - p, r), "char-window")
 
-    pm = p_power_at_least(r, p)[1]
+    pm = _p_power_at_least(r, p)[1]
     sigma = s % pm  # periodicity: pi depends on s only through this residue
 
     # Small residues 0..3.
@@ -195,7 +195,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
         return SMALL_RESIDUES[sigma].value(r, p)
 
     # Residues b, 2b, b+1 above p^m for r with nontrivial p-part b.
-    b = p_parts(r, p).b
+    b = p ** _valuation(r, p)
     if 1 < b < r:
         if sigma == b:
             return FastPathResult(compose(rev(1, b, r), rev(b + 1, r, r)), "residue-b")
@@ -221,8 +221,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
             return FastPathResult(value, f"mirror-small-s({inner.rule})")
 
     # p-power scaling: strip a common p-power from both arguments.
-    ell = min(p_adic_valuation(r, p) if r % p == 0 else 0,
-              p_adic_valuation(s, p) if s % p == 0 else 0)
+    ell = min(_valuation(r, p), _valuation(s, p))
     if ell >= 1:
         q = p**ell
         inner = _fast(r // q, s // q, p, allow_mirror)

@@ -51,7 +51,11 @@ def p_adic_valuation(n: int, p: int) -> int:
     ensure_prime(p)
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
+    return _valuation(abs(n), p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """p_adic_valuation for n > 0 and a p already checked."""
     e = 0
     while n % p == 0:
         n //= p
@@ -95,7 +99,7 @@ def p_parts(r: int, p: int) -> PPartDecomposition:
     ensure_prime(p)
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    e = p_adic_valuation(r, p)
+    e = _valuation(r, p)
     d = PPartDecomposition(r, r // p**e, p**e, e)
     assert d.a * d.b == r and gcd(d.a, p) == 1
     return d
@@ -106,6 +110,11 @@ def p_power_at_least(r: int, p: int) -> tuple[int, int]:
     ensure_prime(p)
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
+    return _p_power_at_least(r, p)
+
+
+def _p_power_at_least(r: int, p: int) -> tuple[int, int]:
+    """p_power_at_least for r >= 1 and a p already checked."""
     m, q = 0, 1
     while q < r:
         q *= p

@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .delta import delta_profile
+from .delta import _check_params, _profile
 from .jordan import Partition, _lambda_from_profile, _pi_from_profile
-from .parith import ensure_prime, p_power_at_least
+from .parith import _p_power_at_least
 
 
 class EquivalenceViolation(RuntimeError):
@@ -51,10 +51,12 @@ def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     p = 2, r = 3 with s = 2 mod 4; p odd, r > p with the a/b/h/i/j congruences.
     For p = 2 and r >= 4 no row applies and the triple is not standard.
     """
-    ensure_prime(p)
-    if not 1 <= r <= s:
-        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
-    m = p_power_at_least(r, p)[0]
+    _check_params(r, s, p)
+    return _standard_triple(r, s, p)
+
+
+def _standard_triple(r: int, s: int, p: int) -> StandardnessReport:
+    m = _p_power_at_least(r, p)[0]
     if r == 1:
         return StandardnessReport(r, s, p, m, matched_row=1, verdict=True)
     if r <= p:
@@ -84,7 +86,8 @@ def standard_partition(lam: Partition, r: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The six standardness conditions."""
+    """The six standardness conditions, and the congruence-criterion report behind
+    the standard_triple one."""
 
     r: int
     s: int
@@ -95,6 +98,7 @@ class EquivalenceReport:
     all_left_gaps_one: bool
     all_right_gaps_zero: bool
     all_delta_one: bool
+    triple: StandardnessReport
 
     def conditions(self) -> dict[str, bool]:
         return {
@@ -119,15 +123,18 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
     the differing conditions; the six are provably equivalent, so a violation
     is an implementation bug.
     """
-    prof = delta_profile(r, s, p)
+    _check_params(r, s, p)
+    prof = _profile(r, s, p)
+    triple = _standard_triple(r, s, p)
     report = EquivalenceReport(
         r, s, p,
         standard_partition=standard_partition(_lambda_from_profile(prof), r, s),
         identity_permutation=_pi_from_profile(prof).is_identity(),
-        standard_triple=standard_triple(r, s, p).verdict,
+        standard_triple=triple.verdict,
         all_left_gaps_one=all(v == 1 for v in prof.L),
         all_right_gaps_zero=all(v == 0 for v in prof.R),
         all_delta_one=all(prof.delta[n] == 1 for n in range(1, r + 1)),
+        triple=triple,
     )
     conditions = report.conditions()
     if len(set(conditions.values())) != 1:

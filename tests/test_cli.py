@@ -2,6 +2,7 @@ import json
 import time
 from pathlib import Path
 
+from normanform import standardness
 from normanform.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,6 +48,29 @@ def test_pi_at_19_digit_prime(capsys):
     start = time.perf_counter()
     assert run(capsys, "pi", "--r", "3", "--s", "4", "--p", "1000000000000000003") == (0, "()\n")
     assert time.perf_counter() - start < 1.0
+
+
+def test_long_queries_answer_within_a_second(capsys):
+    for argv in (("pi", "--r", "2000", "--s", "5000", "--p", "3"),
+                 ("lambda", "--r", "1000", "--s", "1000000000007", "--p", "5")):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 0 and out.endswith("\n")
+
+
+def test_standard_evaluates_the_criterion_once(capsys, monkeypatch):
+    calls = []
+    criterion = standardness._standard_triple
+
+    def counted(*args):
+        calls.append(args)
+        return criterion(*args)
+
+    monkeypatch.setattr(standardness, "_standard_triple", counted)
+    assert run(capsys, "standard", "--r", "3", "--s", "6", "--p", "2") == (
+        0, "standard=true row=3\n")
+    assert calls == [(3, 6, 2)]
 
 
 def test_swap_metadata(capsys):

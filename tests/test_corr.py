@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from normanform.corr import (DeviationError, NotReversalProduct, SubsetProfile,
                              eps_to_perm, eps_to_subset, perm_to_eps, perm_to_subset,
@@ -21,6 +22,38 @@ def test_validate_eps_examples():
         validate_eps((1, 0, -1))
     assert info.value.kind == "forbidden-gap"
     assert info.value.indices == (1, 2)
+
+
+def _first_violation_by_pair_scan(entries):
+    """(kind, indices, message) of the first violation, with the full O(r^2) pair scan."""
+    r = len(entries)
+    for n in range(1, r):
+        if entries[n - 1] < entries[n]:
+            return ("not-weakly-decreasing", (n, n + 1),
+                    f"eps_{n} = {entries[n - 1]} < eps_{n + 1} = {entries[n]}")
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            if entries[i - 1] - entries[j - 1] == j - i:
+                return ("forbidden-gap", (i, j),
+                        f"eps_{i} - eps_{j} = {j - i} = j - i at (i, j) = ({i}, {j})")
+    for n in range(1, r + 1):
+        if not (1 - n <= entries[n - 1] <= r - n):
+            return ("out-of-range", (n,),
+                    f"eps_{n} = {entries[n - 1]} outside [{1 - n}, {r - n}]")
+    return None
+
+
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=14), st.booleans())
+def test_validate_eps_matches_pair_scan(entries, descending):
+    if descending:
+        entries.sort(reverse=True)
+    expected = _first_violation_by_pair_scan(entries)
+    if expected is None:
+        assert validate_eps(entries).entries == tuple(entries)
+        return
+    with pytest.raises(DeviationError) as info:
+        validate_eps(entries)
+    assert (info.value.kind, info.value.indices, str(info.value)) == expected
 
 
 def test_validate_eps_error_kinds():

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from normanform.delta import delta_profile, dn_exact, dn_valuation
+from normanform.delta import _valuations, delta_profile, dn_exact, dn_valuation
 from normanform.parith import p_adic_valuation
 
 
@@ -84,3 +85,22 @@ def test_descent_set_reconstructs_gaps():
                     for n in range(lo + 1, hi + 1):
                         assert prof.L[n - 1] == n - lo
                         assert prof.R[n - 1] == hi - n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10**15) | st.integers(10**12, 10**15),
+       st.sampled_from((2, 3, 5, 7, 11, 10**9 + 7)))
+def test_legendre_route_matches_carry_counts(r, extra, p):
+    s = r + extra
+    vals = _valuations(r, s, p)
+    assert vals == [dn_valuation(r, s, p, n) for n in range(1, r)]
+    assert delta_profile(r, s, p).delta == (1, *(int(v == 0) for v in vals), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 30),
+       st.sampled_from((2, 3, 5, 7, 11, 10**9 + 7)))
+def test_legendre_route_matches_exact_determinant(r, extra, p):
+    s = r + extra
+    assert _valuations(r, s, p) == [p_adic_valuation(dn_exact(r, s, n), p)
+                                    for n in range(1, r)]

@@ -1,5 +1,6 @@
 import pytest
 
+from normanform import parith, standardness
 from normanform.corr import reversal_cuts, subset_to_perm, SubsetProfile
 from normanform.jordan import (Partition, deviation, jordan_result, lambda_of,
                                pi_fast_path, pi_of)
@@ -160,3 +161,15 @@ def test_pi_equals_reversal_product_of_descents():
                 res = jordan_result(r, s, p)
                 T = SubsetProfile(r, res.profile.descent_set())
                 assert subset_to_perm(T) == res.pi
+
+
+def test_each_query_tests_primality_once(monkeypatch):
+    calls = []
+    is_prime = parith.is_prime
+    monkeypatch.setattr(parith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for query in (jordan_result, pi_fast_path, standardness.standard_triple,
+                  standardness.equivalence_report):
+        for r, s, p in ((12, 20, 10**18 + 3), (24, 40, 2), (9, 30, 3), (27, 31, 3)):
+            calls.clear()
+            query(r, s, p)
+            assert calls == [p], (query.__name__, r, s, p)
