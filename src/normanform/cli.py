@@ -263,9 +263,11 @@ def _render_columns(header: list[str], rows: list[tuple[str, ...]]) -> str:
 
 
 def cmd_table(args) -> int:
-    primes = _parse_int_list(args.primes, "--primes") if args.primes else [args.p or 2]
-    for p in primes:
-        ensure_prime(p)
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
+    primes = [ensure_prime(p) for p in _parse_int_list(args.primes, "--primes")]
+    if not primes:
+        raise UsageError("prime list must be nonempty")
     blocks = []
     ok = True
     if args.name == "pi3":
@@ -276,9 +278,8 @@ def cmd_table(args) -> int:
             blocks.append(f"pi(3,s,p) for p={p} (modulus {q})\n"
                           + _render_columns(["s_mod", "pi", "status"], rows))
     else:
-        rmax = args.rmax or 25
         for p in primes:
-            rows, good = _small_s_rows(p, rmax)
+            rows, good = _small_s_rows(p, args.rmax)
             ok = ok and good
             blocks.append(f"pi(r,s,p) for small s mod p^m, p={p}\n"
                           + _render_columns(["case", "formula", "r", "status"], rows))
@@ -305,8 +306,8 @@ class SweepSpec:
             raise UsageError(f"--rmax must be >= 1, got {self.rmax}")
         if not self.primes:
             raise UsageError("prime list must be nonempty")
-        for p in self.primes:
-            ensure_prime(p)
+        # each cell then reuses the checked prime instead of testing it again
+        object.__setattr__(self, "primes", tuple(ensure_prime(p) for p in self.primes))
         for c in self.checks:
             if c not in _SWEEP_CHECKS:
                 raise UsageError(
@@ -389,14 +390,13 @@ _SWEEP_CHECKS = {
 
 
 def cmd_sweep(args) -> int:
-    checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks \
-        else ("oracle-equiv",)
-    primes = tuple(_parse_int_list(args.primes, "--primes")) if args.primes else (2, 3)
+    checks = tuple(c.strip() for c in args.checks.split(","))
+    primes = tuple(_parse_int_list(args.primes, "--primes"))
     try:
         smax = args.smax if args.smax in (None, "period") else int(args.smax)
     except ValueError as exc:
         raise UsageError(f"--smax expects an integer or 'period', got {args.smax!r}") from exc
-    spec = SweepSpec(rmax=args.rmax or 8, smax=smax, primes=primes, checks=checks)
+    spec = SweepSpec(rmax=args.rmax, smax=smax, primes=primes, checks=checks)
     caps = _caps(args)
     rows = [(r, s, p, name, okay, detail) for name in spec.checks
             for r, s, p, okay, detail in _SWEEP_CHECKS[name](spec, caps)]
@@ -505,16 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("table", cmd_table, help="recompute and verify the closed-form tables")
     sub.add_argument("--name", choices=["pi3", "small-s"], required=True)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--primes", type=str, default=None, help="comma list, e.g. '2,3,5'")
-    sub.add_argument("--rmax", type=int, default=None)
+    sub.add_argument("--primes", type=str, default="2", help="comma list, e.g. '2,3,5'")
+    sub.add_argument("--rmax", type=int, default=25)
 
     sub = add("sweep", cmd_sweep, help="run verification sweeps over parameter grids")
-    sub.add_argument("--checks", type=str, default=None,
+    sub.add_argument("--checks", type=str, default="oracle-equiv",
                      help=f"comma list of {', '.join(sorted(_SWEEP_CHECKS))}")
-    sub.add_argument("--rmax", type=int, default=None)
+    sub.add_argument("--rmax", type=int, default=8)
     sub.add_argument("--smax", type=str, default=None, help="integer or 'period'")
-    sub.add_argument("--primes", type=str, default=None)
+    sub.add_argument("--primes", type=str, default="2,3")
     sub.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sub.add_argument("--cap", type=int, default=None)
 

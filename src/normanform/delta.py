@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .parith import _carries, ensure_prime
+from .parith import binom_valuation, ensure_prime
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ class DeltaProfile:
         return tuple(i for i in range(1, self.r) if self.delta[i] == 1)
 
 
-def _check_params(r: int, s: int, p: int) -> None:
-    ensure_prime(p)
+def _check_params(r: int, s: int, p: int) -> int:
+    p = ensure_prime(p)
     if not 1 <= r <= s:
         raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
+    return p
 
 
 def _negative(v: int, r: int, s: int, p: int, n: int) -> RuntimeError:
@@ -62,14 +63,11 @@ def dn_valuation(r: int, s: int, p: int, n: int) -> int:
 
     Independent of the Legendre route of delta_profile; kept as its test oracle.
     """
-    _check_params(r, s, p)
+    p = _check_params(r, s, p)
     if not 1 <= n <= r:
         raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
-    # sum over i < n of v_p C(s+r-2n+i, s-n) - v_p C(s-n+i, s-n)
-    total = 0
-    for i in range(n):
-        total += _carries(s - n, r - n + i, p)
-        total -= _carries(s - n, i, p)
+    total = sum(binom_valuation(s + r - 2 * n + i, s - n, p)
+                - binom_valuation(s - n + i, s - n, p) for i in range(n))
     if total < 0:
         raise _negative(total, r, s, p, n)
     return total
@@ -125,12 +123,6 @@ def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
     return window
 
 
-def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
-    """Full delta/L/R profile for (r, s, p)."""
-    _check_params(r, s, p)
-    return _profile(r, s, p)
-
-
 def _valuations(r: int, s: int, p: int) -> list[int]:
     """[v_p(D_1), ..., v_p(D_{r-1})] from F tabulated on [0, r] and [s-r, s+r]."""
     near = _legendre_window(0, r, p)         # near[x] = F(x)
@@ -145,8 +137,9 @@ def _valuations(r: int, s: int, p: int) -> list[int]:
     return out
 
 
-def _profile(r: int, s: int, p: int) -> DeltaProfile:
-    """delta_profile for callers that have checked (r, s, p) already."""
+def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
+    """Full delta/L/R profile for (r, s, p)."""
+    p = _check_params(r, s, p)
     delta = [1] + [1 if v == 0 else 0 for v in _valuations(r, s, p)] + [1]
     L = [0] * r
     R = [0] * r

@@ -65,7 +65,7 @@ def check_green_identities(p: int, e_max: int, a_max: int = 10,
     + (r-b-1) V_{p^m} for b < r <= p^m. Any mismatch raises
     GreenIdentityViolation naming the instance.
     """
-    ensure_prime(p)
+    p = ensure_prime(p)
     if e_max < 1:
         raise ValueError(f"e_max must be >= 1, got {e_max!r}")
     instances = []

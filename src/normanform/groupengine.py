@@ -172,7 +172,7 @@ def closure(generators: Iterable[Permutation], degree: int,
 
 def _one_period(r: int, p: int) -> list[Permutation]:
     """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if r < 2:
         raise ValueError(f"need r >= 2, got {r!r}")
     pm = p_power_at_least(r, p)[1]
@@ -277,7 +277,7 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     (for a > 1); and the four-fold product recovering the transposition
     (1, b+1) (for a > 1 and b > 1). Skipped checks report True.
     """
-    ensure_prime(p)
+    p = ensure_prime(p)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r!r}")
     if r == 1:

@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import corr
 from .corr import DeviationVector, SubsetProfile
-from .delta import DeltaProfile, _profile, delta_profile
-from .parith import _p_power_at_least, _valuation, ensure_prime
+from .delta import DeltaProfile, delta_profile
+from .parith import ensure_prime, p_adic_valuation, p_power_at_least
 from .perm import Permutation, compose, conjugate, embed, identity, rev, transposition
 
 
@@ -63,12 +63,13 @@ class JordanResult:
     method: str
 
 
-def _check_params(r: int, s: int, p: int) -> None:
-    ensure_prime(p)
+def _check_params(r: int, s: int, p: int) -> int:
+    p = ensure_prime(p)
     if not 1 <= r <= s:
         raise ValueError(
             f"need 1 <= r <= s, got r={r}, s={s} "
             "(the tensor product is symmetric; swap the arguments)")
+    return p
 
 
 def lambda_of(r: int, s: int, p: int) -> Partition:
@@ -104,8 +105,8 @@ def deviation(r: int, s: int, p: int) -> DeviationVector:
 
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
     """Assemble lambda, pi, epsilon for (r, s, p) and assert their mutual consistency."""
-    _check_params(r, s, p)
-    prof = _profile(r, s, p)
+    p = _check_params(r, s, p)
+    prof = delta_profile(r, s, p)
     lam = _lambda_from_profile(prof)
     pi = _pi_from_profile(prof)
     eps = corr.validate_eps(part - s for part in lam.parts)
@@ -135,7 +136,7 @@ def pi_fast_path(r: int, s: int, p: int) -> Optional[FastPathResult]:
     Returns None when no identity chain resolves; the delta route is never
     consulted, so a returned value is an independent check of pi_of.
     """
-    _check_params(r, s, p)
+    p = _check_params(r, s, p)
     return _fast(r, s, p, allow_mirror=True)
 
 
@@ -187,7 +188,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
     if s <= p <= r + s - 2:
         return FastPathResult(rev(1, r + s - p, r), "char-window")
 
-    pm = _p_power_at_least(r, p)[1]
+    pm = p_power_at_least(r, p)[1]
     sigma = s % pm  # periodicity: pi depends on s only through this residue
 
     # Small residues 0..3.
@@ -195,7 +196,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
         return SMALL_RESIDUES[sigma].value(r, p)
 
     # Residues b, 2b, b+1 above p^m for r with nontrivial p-part b.
-    b = p ** _valuation(r, p)
+    b = p ** p_adic_valuation(r, p)
     if 1 < b < r:
         if sigma == b:
             return FastPathResult(compose(rev(1, b, r), rev(b + 1, r, r)), "residue-b")
@@ -221,7 +222,7 @@ def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult
             return FastPathResult(value, f"mirror-small-s({inner.rule})")
 
     # p-power scaling: strip a common p-power from both arguments.
-    ell = min(_valuation(r, p), _valuation(s, p))
+    ell = min(p_adic_valuation(r, p), p_adic_valuation(s, p))
     if ell >= 1:
         q = p**ell
         inner = _fast(r // q, s // q, p, allow_mirror)

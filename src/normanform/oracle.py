@@ -29,7 +29,7 @@ class MatrixGFp:
     entries: np.ndarray
 
     def __post_init__(self):
-        ensure_prime(self.p)
+        object.__setattr__(self, "p", ensure_prime(self.p))
         arr = np.asarray(self.entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -58,7 +58,7 @@ def jordan_block(ell: int, diag: int) -> np.ndarray:
 def build_tensor(r: int, s: int, p: int, kind: str = "unipotent",
                  cap: int = DEFAULT_CAP) -> MatrixGFp:
     """Kronecker product of two Jordan blocks of the requested kind over GF(p)."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     if kind not in ("unipotent", "nilpotent"):
@@ -106,11 +106,13 @@ def _rank_sequence(N: np.ndarray, p: int) -> list[int]:
     form of (row basis of N^k) @ N. Raises ValueError if the rank stops
     decreasing before reaching 0, which certifies N is not nilpotent.
     """
-    from scipy import sparse  # imported here so that loading the package skips scipy
-
     d = N.shape[0]
-    N_sparse = sparse.csr_matrix(N)
-    basis = np.mod(N.copy(), p)
+    N = np.mod(N, p)
+    # basis @ N is one shifted column add per nonzero diagonal N[i, i+k]; a column
+    # still sums at most d terms below (p-1)^2, within MatrixGFp's int64 bound
+    rows, cols = np.nonzero(N)
+    diagonals = [(k, np.diagonal(N, k)) for k in np.unique(cols - rows).tolist()]
+    basis = N.copy()
     ranks: list[int] = []
     prev = d
     while True:
@@ -121,7 +123,13 @@ def _rank_sequence(N: np.ndarray, p: int) -> list[int]:
             raise ValueError("matrix is not nilpotent: rank sequence stalled")
         ranks.append(rank)
         prev = rank
-        basis = np.asarray(basis @ N_sparse) % p
+        product = np.zeros_like(basis)
+        for k, diag in diagonals:
+            if k >= 0:
+                product[:, k:] += basis[:, :d - k] * diag
+            else:
+                product[:, :d + k] += basis[:, -k:] * diag
+        basis = product % p
 
 
 def _partition_from_ranks(dimension: int, ranks: list[int]) -> Partition:

@@ -1,4 +1,10 @@
-"""Exact arithmetic primitives: primality, Kummer valuations, p-parts."""
+"""Exact arithmetic primitives: primality, Kummer valuations, p-parts.
+
+Every function that takes a prime p starts with p = ensure_prime(p). The first
+call tests p and returns it as a private int subclass; later calls recognise
+that type and skip the test. So each call from outside tests its prime once,
+and helpers pass the returned p down rather than keeping unchecked twins.
+"""
 
 from __future__ import annotations
 
@@ -39,23 +45,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class _Prime(int):
+    """An int that ensure_prime has tested."""
+
+    __slots__ = ()
+
+
 def ensure_prime(p: int) -> int:
-    """Return p if prime, else raise ValueError."""
+    """Return p as a checked prime, testing it only if it is not one yet; else raise
+    ValueError."""
+    if type(p) is _Prime:
+        return p
     if not is_prime(p):
         raise ValueError(f"p must be a prime >= 2, got {p!r}")
-    return p
+    return _Prime(p)
 
 
 def p_adic_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n (n != 0)."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    return _valuation(abs(n), p)
-
-
-def _valuation(n: int, p: int) -> int:
-    """p_adic_valuation for n > 0 and a p already checked."""
+    n = abs(n)
     e = 0
     while n % p == 0:
         n //= p
@@ -65,15 +76,10 @@ def _valuation(n: int, p: int) -> int:
 
 def binom_valuation(n: int, k: int, p: int) -> int:
     """p-adic valuation of C(n, k), as the number of carries adding k and n-k in base p."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return _carries(k, n - k, p)
-
-
-def _carries(a: int, b: int, p: int) -> int:
-    """Carries when adding a and b in base p (Kummer); unchecked, for callers that
-    validated p already."""
+    a, b = k, n - k
     carries = 0
     carry = 0
     while a > 0 or b > 0 or carry:
@@ -96,10 +102,10 @@ class PPartDecomposition(NamedTuple):
 
 def p_parts(r: int, p: int) -> PPartDecomposition:
     """Split r into its p'-part a and p-part b = p**e."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    e = _valuation(r, p)
+    e = p_adic_valuation(r, p)
     d = PPartDecomposition(r, r // p**e, p**e, e)
     assert d.a * d.b == r and gcd(d.a, p) == 1
     return d
@@ -107,14 +113,9 @@ def p_parts(r: int, p: int) -> PPartDecomposition:
 
 def p_power_at_least(r: int, p: int) -> tuple[int, int]:
     """Minimal (m, p**m) with r <= p**m; m = ceil(log_p r), so (0, 1) for r = 1."""
-    ensure_prime(p)
+    p = ensure_prime(p)
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    return _p_power_at_least(r, p)
-
-
-def _p_power_at_least(r: int, p: int) -> tuple[int, int]:
-    """p_power_at_least for r >= 1 and a p already checked."""
     m, q = 0, 1
     while q < r:
         q *= p

@@ -2,7 +2,7 @@ import json
 import time
 from pathlib import Path
 
-from normanform import standardness
+from normanform import parith, standardness
 from normanform.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,13 +61,13 @@ def test_long_queries_answer_within_a_second(capsys):
 
 def test_standard_evaluates_the_criterion_once(capsys, monkeypatch):
     calls = []
-    criterion = standardness._standard_triple
+    criterion = standardness.standard_triple
 
     def counted(*args):
         calls.append(args)
         return criterion(*args)
 
-    monkeypatch.setattr(standardness, "_standard_triple", counted)
+    monkeypatch.setattr(standardness, "standard_triple", counted)
     assert run(capsys, "standard", "--r", "3", "--s", "6", "--p", "2") == (
         0, "standard=true row=3\n")
     assert calls == [(3, 6, 2)]
@@ -230,6 +230,31 @@ def test_sweep_all_checks_golden(capsys):
 def test_sweep_unknown_check(capsys):
     code, payload = run_json(capsys, "sweep", "--checks", "nonsense")
     assert code == 2 and payload["error"]["code"] == "usage"
+
+
+def test_empty_ranges_and_lists_are_usage_errors(capsys):
+    for argv in (("table", "--name", "small-s", "--rmax", "0"),
+                 ("table", "--name", "small-s", "--rmax", "-3"),
+                 ("table", "--name", "pi3", "--primes", ","),
+                 ("sweep", "--rmax", "0"),
+                 ("sweep", "--primes", ",")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["error"]["code"] == "usage", argv
+
+
+def test_each_invocation_tests_each_prime_once(capsys, monkeypatch):
+    calls = []
+    is_prime = parith.is_prime
+    monkeypatch.setattr(parith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for argv, primes in (
+            (("group", "--r", "24", "--p", "2"), [2]),
+            (("sweep", "--checks",
+              "oracle-equiv,involution,fast-path,six-way,bijection-roundtrip,wreath",
+              "--rmax", "8", "--smax", "20", "--primes", "2,3", "--format", "csv"), [2, 3]),
+            (("table", "--name", "small-s", "--primes", "2,3,5", "--rmax", "25"), [2, 3, 5])):
+        calls.clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0 and calls == primes, argv
 
 
 def test_out_file(tmp_path, capsys):

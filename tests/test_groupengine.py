@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from normanform import parith
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _generates_dihedral,
                                     closure, diagonal_embed, expected_wreath_order,
                                     generator_census, group_generators, phi_image,
@@ -174,3 +175,13 @@ def test_generators_are_involutions():
     for (r, p) in [(5, 2), (9, 3), (8, 2), (7, 5)]:
         for g in group_generators(r, p):
             assert g.is_involution() and not g.is_identity()
+
+
+def test_verify_wreath_tests_primality_once(monkeypatch):
+    calls = []
+    is_prime = parith.is_prime
+    monkeypatch.setattr(parith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for r, p in ((24, 2), (14, 11)):
+        calls.clear()
+        assert verify_wreath(r, p).verdict
+        assert calls == [p], (r, p)

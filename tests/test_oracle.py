@@ -163,11 +163,32 @@ def test_rank_matches_exact_elimination_at_large_prime():
 
 def test_package_import_skips_scipy():
     code = ("import sys, normanform.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "print(normanform.oracle_lambda(3, 4, 2).parts)\n")
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "print(normanform.oracle_lambda(3, 4, 2).parts)\n"
+            "print(scipy())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "(4, 4, 4)"]
+    assert proc.stdout.splitlines() == ["[]", "(4, 4, 4)", "[]"]
+
+
+def test_jcf_of_permuted_jordan_nilpotent():
+    # conjugating by a permutation matrix scatters the superdiagonal over
+    # diagonals of both signs
+    rng = np.random.default_rng(5)
+    for parts in ((4, 2, 2, 1), (7, 3), (5, 5, 1, 1, 1), (1, 1, 1)):
+        d = sum(parts)
+        N = np.zeros((d, d), dtype=np.int64)
+        start = 0
+        for size in parts:
+            for i in range(start, start + size - 1):
+                N[i, i + 1] = 1
+            start += size
+        for p, eigenvalue in ((2, 1), (3, 0), (7, 5), (1000003, 12)):
+            P = np.eye(d, dtype=np.int64)[rng.permutation(d)]
+            M = P @ N @ P.T + eigenvalue * np.eye(d, dtype=np.int64)
+            got = jcf_partition_single_eigenvalue(MatrixGFp(p, M), eigenvalue)
+            assert got.parts == parts, (parts, p)
