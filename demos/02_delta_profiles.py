@@ -3,11 +3,23 @@
 D_n(r, s) is a determinant of binomial coefficients; only its residue mod p
 matters, recorded as a bit delta_n. The distances L(n) to the nearest set bit
 on the left and R(n) on the right assemble both the partition and the
-involution. No big integer is ever formed: the bit is read off from Kummer
-carry counts.
+involution. No big integer is ever formed: the bit is read off from Legendre
+sums of p-adic valuations of factorials.
 """
 
-from normanform import delta_profile, dn_exact, lambda_of, pi_of
+from math import comb
+
+from normanform import delta_profile, lambda_of, pi_of
+
+
+def dn_exact(r: int, s: int, n: int) -> int:
+    """D_n(r, s) = prod_{i<n} C(s+r-2n+i, s-n) / C(s-n+i, s-n), as an exact integer."""
+    num = den = 1
+    for i in range(n):
+        num *= comb(s + r - 2 * n + i, s - n)
+        den *= comb(s - n + i, s - n)
+    return num // den
+
 
 R, S, P = 6, 11, 3
 

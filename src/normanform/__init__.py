@@ -5,7 +5,7 @@ Norman involutions, standardness criteria, and the groups the involutions genera
 from .corr import (DeviationError, DeviationVector, NotReversalProduct, SubsetProfile,
                    eps_to_perm, eps_to_subset, perm_to_eps, perm_to_subset,
                    reversal_cuts, subset_to_eps, subset_to_perm, validate_eps)
-from .delta import DeltaProfile, delta_profile, dn_exact, dn_valuation
+from .delta import DeltaProfile, delta_profile
 from .green import (GreenDecomposition, GreenIdentityReport, GreenIdentityViolation,
                     check_green_identities, decompose)
 from .groupengine import (GroupReport, PermGroup, diagonal_embed, generator_census,
@@ -15,8 +15,8 @@ from .jordan import (FastPathResult, JordanResult, Partition, deviation, jordan_
 from .oracle import (DEFAULT_CAP, DimensionCapExceeded, MatrixGFp, build_tensor,
                      jcf_partition_single_eigenvalue, nilpotent_mu, oracle_lambda,
                      oracle_nilpotent, rank_gfp)
-from .parith import (PPartDecomposition, binom_valuation, ensure_prime, is_prime,
-                     p_adic_valuation, p_parts, p_power_at_least)
+from .parith import (PPartDecomposition, ensure_prime, is_prime, p_adic_valuation,
+                     p_parts, p_power_at_least)
 from .perm import (CycleParseError, Permutation, compose, conjugate, embed,
                    format_cycles, identity, parse_cycles, rev, transposition)
 from .standardness import (EquivalenceReport, EquivalenceViolation, StandardnessReport,

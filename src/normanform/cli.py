@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import corr as corr_mod
 from . import green as green_mod
@@ -68,6 +67,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from exc
+
+
+def _grid(args) -> tuple[int, tuple[int, ...]]:
+    """(rmax, primes) of `table` and `sweep`, each prime checked once for every cell."""
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
+    primes = tuple(ensure_prime(p) for p in _parse_int_list(args.primes, "--primes"))
+    if not primes:
+        raise UsageError("prime list must be nonempty")
+    return args.rmax, primes
 
 
 # -- single-query commands ----------------------------------------------------
@@ -213,12 +222,7 @@ def _pi3_rows(p: int, q: int) -> tuple[list[tuple[str, str, str]], bool]:
     computed, then compared against the closed-form lane."""
     rows = []
     ok = True
-    classes: list[tuple[str, list[int]]] = [
-        ("0", [x for x in range(q) if x == 0]),
-        ("1", [x for x in range(q) if x == 1]),
-        ("-1", [x for x in range(q) if x == q - 1]),
-        ("otherwise", [x for x in range(2, q - 1)]),
-    ]
+    classes = [("0", [0]), ("1", [1]), ("-1", [q - 1]), ("otherwise", range(2, q - 1))]
     for label, residues in classes:
         if not residues:
             rows.append((label, "()", "vacuous"))
@@ -263,11 +267,7 @@ def _render_columns(header: list[str], rows: list[tuple[str, ...]]) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.rmax < 1:
-        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
-    primes = [ensure_prime(p) for p in _parse_int_list(args.primes, "--primes")]
-    if not primes:
-        raise UsageError("prime list must be nonempty")
+    rmax, primes = _grid(args)
     blocks = []
     ok = True
     if args.name == "pi3":
@@ -279,7 +279,7 @@ def cmd_table(args) -> int:
                           + _render_columns(["s_mod", "pi", "status"], rows))
     else:
         for p in primes:
-            rows, good = _small_s_rows(p, args.rmax)
+            rows, good = _small_s_rows(p, rmax)
             ok = ok and good
             blocks.append(f"pi(r,s,p) for small s mod p^m, p={p}\n"
                           + _render_columns(["case", "formula", "r", "status"], rows))
@@ -290,39 +290,16 @@ def cmd_table(args) -> int:
 # -- sweep harness ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: grids, primes and checks."""
-
-    rmax: int
-    # s runs from r to smax; "period" means one full period r..r+p^m per (r, p),
-    # and None leaves each check its own default
-    smax: int | str | None
-    primes: tuple[int, ...]
-    checks: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.rmax < 1:
-            raise UsageError(f"--rmax must be >= 1, got {self.rmax}")
-        if not self.primes:
-            raise UsageError("prime list must be nonempty")
-        # each cell then reuses the checked prime instead of testing it again
-        object.__setattr__(self, "primes", tuple(ensure_prime(p) for p in self.primes))
-        for c in self.checks:
-            if c not in _SWEEP_CHECKS:
-                raise UsageError(
-                    f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
-
-
 def _on_grid(cell, smax_default):
     """Rows (r, s, p, passed, detail) of a per-cell check over p, then 1 <= r <= rmax,
-    then r <= s <= smax; smax_default ("rmax" or "period") applies when --smax is omitted."""
-    def rows(spec, caps):
-        smax = smax_default if spec.smax is None else spec.smax
+    then r <= s <= smax. smax is an integer, "period" (one full period r..r+p^m per
+    (r, p)) or None, when smax_default ("rmax" or "period") applies."""
+    def rows(rmax, smax, primes, caps):
+        smax = smax_default if smax is None else smax
         if smax == "rmax":
-            smax = spec.rmax
-        for p in spec.primes:
-            for r in range(1, spec.rmax + 1):
+            smax = rmax
+        for p in primes:
+            for r in range(1, rmax + 1):
                 top = r + p_power_at_least(r, p)[1] if smax == "period" else smax
                 for s in range(r, top + 1):
                     yield (r, s, p, *cell(r, s, p, caps))
@@ -354,9 +331,9 @@ def _cell_six_way(r, s, p, caps):
     return True, ""
 
 
-def _rows_bijection(spec, caps):
+def _rows_bijection(rmax, smax, primes, caps):
     from itertools import combinations
-    for r in range(1, spec.rmax + 1):
+    for r in range(1, rmax + 1):
         bad = 0
         total = 0
         for k in range(r):
@@ -371,14 +348,14 @@ def _rows_bijection(spec, caps):
         yield (r, 0, 0, bad == 0, f"subsets={total}")
 
 
-def _rows_wreath(spec, caps):
-    for p in spec.primes:
-        for r in range(2, spec.rmax + 1):
+def _rows_wreath(rmax, smax, primes, caps):
+    for p in primes:
+        for r in range(2, rmax + 1):
             report = ge.verify_wreath(r, p, cap=caps[1])
             yield (r, 0, p, report.verdict, f"order={report.order}")
 
 
-# name -> rows(spec, caps) yielding (r, s, p, passed, detail)
+# name -> rows(rmax, smax, primes, caps) yielding (r, s, p, passed, detail)
 _SWEEP_CHECKS = {
     "oracle-equiv": _on_grid(_cell_oracle_equiv, "rmax"),
     "involution": _on_grid(_cell_involution, "rmax"),
@@ -390,16 +367,18 @@ _SWEEP_CHECKS = {
 
 
 def cmd_sweep(args) -> int:
-    checks = tuple(c.strip() for c in args.checks.split(","))
-    primes = tuple(_parse_int_list(args.primes, "--primes"))
     try:
         smax = args.smax if args.smax in (None, "period") else int(args.smax)
     except ValueError as exc:
         raise UsageError(f"--smax expects an integer or 'period', got {args.smax!r}") from exc
-    spec = SweepSpec(rmax=args.rmax, smax=smax, primes=primes, checks=checks)
+    rmax, primes = _grid(args)
+    checks = [c.strip() for c in args.checks.split(",")]
+    for c in checks:
+        if c not in _SWEEP_CHECKS:
+            raise UsageError(f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
     caps = _caps(args)
-    rows = [(r, s, p, name, okay, detail) for name in spec.checks
-            for r, s, p, okay, detail in _SWEEP_CHECKS[name](spec, caps)]
+    rows = [(r, s, p, name, okay, detail) for name in checks
+            for r, s, p, okay, detail in _SWEEP_CHECKS[name](rmax, smax, primes, caps)]
     rows.sort(key=lambda row: (row[3], row[2], row[0], row[1]))
 
     failures = [row for row in rows if not row[4]]
@@ -459,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_out = {"--out": dict(type=str, default=None, help="write output to FILE")}
 
     def add(name, func, **kw):
-        sub = subs.add_parser(name, **kw)
+        sub = subs.add_parser(name, allow_abbrev=False, **kw)
         sub.set_defaults(func=func)
         for flag, opts in common_out.items():
             sub.add_argument(flag, **opts)
@@ -531,7 +510,7 @@ def main(argv=None) -> int:
     except (oracle.DimensionCapExceeded, ge.DegreeCapExceeded) as exc:
         _emit_json(args, {"error": {"code": "resource-cap", "message": str(exc)}})
         return 2
-    except (standardness.EquivalenceViolation, green_mod.GreenIdentityViolation) as exc:
+    except standardness.EquivalenceViolation as exc:
         _emit_json(args, {"error": {"code": "verification-failure", "message": str(exc)}})
         return 1
     except ValueError as exc:

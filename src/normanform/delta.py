@@ -12,16 +12,15 @@ delta_profile tabulates F on each window from one closed-form anchor,
 F(x) = (x(x-1)/2 - sum_{k<x} S_p(k)) / (p-1) with S_p the base-p digit sum,
 stepping by F(k+1) = F(k) + v_p(k!) and v_p((k+1)!) = v_p(k!) + v_p(k+1). One
 profile costs O(r + log_p s) integer operations; the huge integer D_n is never
-formed. The carry-count dn_valuation (Kummer) and the exact big-integer
-dn_exact are independent routes, kept as test oracles.
+formed. The carry-count and exact big-integer values of D_n, independent
+routes, live with the tests as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .parith import binom_valuation, ensure_prime
+from .parith import check_rsp
 
 
 @dataclass(frozen=True)
@@ -43,52 +42,6 @@ class DeltaProfile:
     def descent_set(self) -> tuple[int, ...]:
         """T = {i in [r-1] : delta_i = 1}."""
         return tuple(i for i in range(1, self.r) if self.delta[i] == 1)
-
-
-def _check_params(r: int, s: int, p: int) -> int:
-    p = ensure_prime(p)
-    if not 1 <= r <= s:
-        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
-    return p
-
-
-def _negative(v: int, r: int, s: int, p: int, n: int) -> RuntimeError:
-    return RuntimeError(
-        f"negative valuation {v} for D_{n}({r},{s}) at p={p}; "
-        "this signals an internal arithmetic fault")
-
-
-def dn_valuation(r: int, s: int, p: int, n: int) -> int:
-    """p-adic valuation of D_n(r, s), as a signed sum of Kummer carry counts.
-
-    Independent of the Legendre route of delta_profile; kept as its test oracle.
-    """
-    p = _check_params(r, s, p)
-    if not 1 <= n <= r:
-        raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
-    total = sum(binom_valuation(s + r - 2 * n + i, s - n, p)
-                - binom_valuation(s - n + i, s - n, p) for i in range(n))
-    if total < 0:
-        raise _negative(total, r, s, p, n)
-    return total
-
-
-def dn_exact(r: int, s: int, n: int) -> int:
-    """The integer D_n(r, s) via exact big-integer arithmetic (cross-check oracle only)."""
-    if not 1 <= r <= s:
-        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
-    if not 0 <= n <= r:
-        raise ValueError(f"need 0 <= n <= r, got n={n}")
-    if n == 0:
-        return 1
-    num = 1
-    den = 1
-    for i in range(n):
-        num *= comb(s + r - 2 * n + i, s - n)
-        den *= comb(s - n + i, s - n)
-    if num % den:
-        raise RuntimeError(f"D_{n}({r},{s}) product is not an integer; arithmetic fault")
-    return num // den
 
 
 def _digit_sum_prefix(x: int, p: int) -> int:
@@ -132,14 +85,15 @@ def _valuations(r: int, s: int, p: int) -> list[int]:
         v = (far[2 * r - n] - far[2 * r - 2 * n] - near[r] + near[r - n]
              - far[r] + far[r - n] + near[n])
         if v < 0:
-            raise _negative(v, r, s, p, n)
+            raise RuntimeError(f"negative valuation {v} for D_{n}({r},{s}) at p={p}; "
+                               "this signals an internal arithmetic fault")
         out.append(v)
     return out
 
 
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
     """Full delta/L/R profile for (r, s, p)."""
-    p = _check_params(r, s, p)
+    p = check_rsp(r, s, p)
     delta = [1] + [1 if v == 0 else 0 for v in _valuations(r, s, p)] + [1]
     L = [0] * r
     R = [0] * r

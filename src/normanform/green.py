@@ -10,6 +10,11 @@ from .jordan import lambda_of
 from .parith import ensure_prime, p_parts, p_power_at_least
 
 
+# p-part-step and above-period run over r = a * b with 2 <= a <= A_MAX and r <= R_CAP
+A_MAX = 10
+R_CAP = 96
+
+
 class GreenIdentityViolation(RuntimeError):
     """A closed-form decomposition identity failed (an implementation bug)."""
 
@@ -55,8 +60,7 @@ def _expected(pairs: list[tuple[int, int]]) -> GreenDecomposition:
     return GreenDecomposition(tuple(kept))
 
 
-def check_green_identities(p: int, e_max: int, a_max: int = 10,
-                           r_cap: int = 96) -> GreenIdentityReport:
+def check_green_identities(p: int, e_max: int) -> GreenIdentityReport:
     """Verify the closed-form decompositions for every b = p^e, e <= e_max.
 
     Checks V_1 (x) V_b = V_b; V_b (x) V_{b+1} = V_{2b} + (b-1) V_b for b > 1;
@@ -84,11 +88,11 @@ def check_green_identities(p: int, e_max: int, a_max: int = 10,
             continue
         check("adjacent", (b,), decompose(b, b + 1, p),
               _expected([(2 * b, 1), (b, b - 1)]))
-        for a in range(2, a_max + 1):
+        for a in range(2, A_MAX + 1):
             if a % p == 0:
                 continue
             r = a * b
-            if r > r_cap:
+            if r > R_CAP:
                 break
             check("p-part-step", (b, r), decompose(b + 1, r, p),
                   _expected([(r + b, 1), (r, b - 1), (r - b, 1)]))

@@ -143,29 +143,6 @@ class PermGroup:
             raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
         return self._sift_from(0, g).is_identity()
 
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl.beta for lvl in self._levels)
-
-
-def closure(generators: Iterable[Permutation], degree: int,
-            limit: int = 10000) -> frozenset[Permutation]:
-    """All products of the generators by breadth-first closure, capped; a test reference."""
-    seen = {identity(degree)}
-    frontier = [identity(degree)]
-    gens = list(generators)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                hg = compose(h, g)
-                if hg not in seen:
-                    if len(seen) >= limit:
-                        raise DegreeCapExceeded(f"closure exceeded {limit} elements")
-                    seen.add(hg)
-                    nxt.append(hg)
-        frontier = nxt
-    return frozenset(seen)
-
 
 # -- Norman-involution generators -------------------------------------------
 
@@ -173,8 +150,6 @@ def closure(generators: Iterable[Permutation], degree: int,
 def _one_period(r: int, p: int) -> list[Permutation]:
     """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s."""
     p = ensure_prime(p)
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r!r}")
     pm = p_power_at_least(r, p)[1]
     return [pi_of(r, s, p) for s in range(r, r + pm)]
 
@@ -278,13 +253,9 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     (1, b+1) (for a > 1 and b > 1). Skipped checks report True.
     """
     p = ensure_prime(p)
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r!r}")
-    if r == 1:
-        return GroupReport(r, p, 1, 1, 0, 1, 1, True, True, True, True)
+    _, a, b, _ = p_parts(r, p)
     if r > cap:
         raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
-    _, a, b, _ = p_parts(r, p)
     gens = group_generators(r, p)
     G = PermGroup(gens, r, cap=cap)
 

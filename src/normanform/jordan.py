@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 from . import corr
 from .corr import DeviationVector, SubsetProfile
 from .delta import DeltaProfile, delta_profile
-from .parith import ensure_prime, p_adic_valuation, p_power_at_least
+from .parith import check_rsp, p_adic_valuation, p_power_at_least
 from .perm import Permutation, compose, conjugate, embed, identity, rev, transposition
 
 
@@ -63,15 +63,6 @@ class JordanResult:
     method: str
 
 
-def _check_params(r: int, s: int, p: int) -> int:
-    p = ensure_prime(p)
-    if not 1 <= r <= s:
-        raise ValueError(
-            f"need 1 <= r <= s, got r={r}, s={s} "
-            "(the tensor product is symmetric; swap the arguments)")
-    return p
-
-
 def lambda_of(r: int, s: int, p: int) -> Partition:
     """The Jordan partition of rs with exactly r parts: lambda_n = r+s-2n+L(n)-R(n)."""
     prof = delta_profile(r, s, p)
@@ -105,7 +96,7 @@ def deviation(r: int, s: int, p: int) -> DeviationVector:
 
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
     """Assemble lambda, pi, epsilon for (r, s, p) and assert their mutual consistency."""
-    p = _check_params(r, s, p)
+    p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
     lam = _lambda_from_profile(prof)
     pi = _pi_from_profile(prof)
@@ -136,7 +127,7 @@ def pi_fast_path(r: int, s: int, p: int) -> Optional[FastPathResult]:
     Returns None when no identity chain resolves; the delta route is never
     consulted, so a returned value is an independent check of pi_of.
     """
-    p = _check_params(r, s, p)
+    p = check_rsp(r, s, p)
     return _fast(r, s, p, allow_mirror=True)
 
 

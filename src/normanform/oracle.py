@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import Partition
-from .parith import ensure_prime
+from .parith import check_rsp, ensure_prime
 
 DEFAULT_CAP = 4096
 
@@ -161,8 +161,7 @@ def jcf_partition_single_eigenvalue(M: MatrixGFp, eigenvalue: int) -> Partition:
 
 def oracle_lambda(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
     """The Jordan partition of J_r (x) J_s over GF(p), from ranks alone."""
-    if not 1 <= r <= s:
-        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
+    p = check_rsp(r, s, p)
     M = build_tensor(r, s, p, "unipotent", cap=cap)
     part = jcf_partition_single_eigenvalue(M, 1)
     assert len(part) == r
@@ -171,8 +170,7 @@ def oracle_lambda(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
 
 def oracle_nilpotent(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
     """The Jordan partition of N_r (x) N_s over GF(p) (includes the zero eigenvalue blocks)."""
-    if not 1 <= r <= s:
-        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
+    p = check_rsp(r, s, p)
     M = build_tensor(r, s, p, "nilpotent", cap=cap)
     return jcf_partition_single_eigenvalue(M, 0)
 

@@ -1,6 +1,8 @@
-"""Exact arithmetic primitives: primality, Kummer valuations, p-parts.
+"""Exact arithmetic primitives: primality, p-adic valuations, p-parts, and the
+one check of the parameters (r, s, p).
 
-Every function that takes a prime p starts with p = ensure_prime(p). The first
+Every function that takes a prime p starts with p = ensure_prime(p), or with
+p = check_rsp(r, s, p) when it also takes a pair 1 <= r <= s. The first
 call tests p and returns it as a private int subclass; later calls recognise
 that type and skip the test. So each call from outside tests its prime once,
 and helpers pass the returned p down rather than keeping unchecked twins.
@@ -61,6 +63,14 @@ def ensure_prime(p: int) -> int:
     return _Prime(p)
 
 
+def check_rsp(r: int, s: int, p: int) -> int:
+    """Check a parameter triple: p prime first, then 1 <= r <= s. Return the checked p."""
+    p = ensure_prime(p)
+    if not 1 <= r <= s:
+        raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
+    return p
+
+
 def p_adic_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n (n != 0)."""
     p = ensure_prime(p)
@@ -72,23 +82,6 @@ def p_adic_valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def binom_valuation(n: int, k: int, p: int) -> int:
-    """p-adic valuation of C(n, k), as the number of carries adding k and n-k in base p."""
-    p = ensure_prime(p)
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    a, b = k, n - k
-    carries = 0
-    carry = 0
-    while a > 0 or b > 0 or carry:
-        t = a % p + b % p + carry
-        carry = 1 if t >= p else 0
-        carries += carry
-        a //= p
-        b //= p
-    return carries
 
 
 class PPartDecomposition(NamedTuple):

@@ -116,8 +116,6 @@ def compose(f: Permutation, g: Permutation) -> Permutation:
 
 def conjugate(f: Permutation, g: Permutation) -> Permutation:
     """g^-1 * f * g; relabels the points of f by g."""
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     return compose(compose(g.inverse(), f), g)
 
 

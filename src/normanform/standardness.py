@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .delta import _check_params, delta_profile
+from .delta import delta_profile
 from .jordan import Partition, _lambda_from_profile, _pi_from_profile
-from .parith import p_power_at_least
+from .parith import check_rsp, p_power_at_least
 
 
 class EquivalenceViolation(RuntimeError):
@@ -51,7 +51,7 @@ def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     p = 2, r = 3 with s = 2 mod 4; p odd, r > p with the a/b/h/i/j congruences.
     For p = 2 and r >= 4 no row applies and the triple is not standard.
     """
-    p = _check_params(r, s, p)
+    p = check_rsp(r, s, p)
     m = p_power_at_least(r, p)[0]
     if r == 1:
         return StandardnessReport(r, s, p, m, matched_row=1, verdict=True)
@@ -119,7 +119,7 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
     the differing conditions; the six are provably equivalent, so a violation
     is an implementation bug.
     """
-    p = _check_params(r, s, p)
+    p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
     triple = standard_triple(r, s, p)
     report = EquivalenceReport(

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normanform.delta import _valuations, delta_profile, dn_exact, dn_valuation
+from normanform.delta import _valuations, delta_profile
 from normanform.parith import p_adic_valuation
+from reference import dn_exact, dn_valuation
 
 
 def test_dn_valuation_examples():

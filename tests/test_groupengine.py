@@ -5,13 +5,14 @@ import pytest
 
 from normanform import parith
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _generates_dihedral,
-                                    closure, diagonal_embed, expected_wreath_order,
+                                    diagonal_embed, expected_wreath_order,
                                     generator_census, group_generators, phi_image,
                                     residue_blocks, verify_wreath)
 from normanform.jordan import pi_of
 from normanform.parith import p_power_at_least
 from normanform.perm import (Permutation, compose, format_cycles, identity, rev,
                              transposition)
+from reference import closure
 
 
 def random_perm(rng, r):

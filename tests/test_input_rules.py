@@ -1,0 +1,81 @@
+"""Each input rule has one home: every command answers a bad input with the same
+message, and every valid r >= 1 is answered by every group mode."""
+
+import json
+
+import pytest
+
+from normanform.cli import main
+from normanform.groupengine import generator_census, group_generators, verify_wreath
+from normanform.parith import check_rsp, ensure_prime
+
+QUERIES = ("lambda", "pi", "delta", "standard", "green", "oracle")
+
+
+def run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the flags themselves
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_check_rsp_tests_the_prime_first():
+    with pytest.raises(ValueError, match="p must be a prime"):
+        check_rsp(0, 3, 4)
+    with pytest.raises(ValueError, match=r"need 1 <= r <= s, got r=0, s=3$"):
+        check_rsp(0, 3, 2)
+    with pytest.raises(ValueError, match=r"need 1 <= r <= s, got r=4, s=3$"):
+        check_rsp(4, 3, 2)
+    p = check_rsp(3, 3, 5)
+    assert p == 5 and ensure_prime(p) is p
+
+
+@pytest.mark.parametrize("p, message", [
+    ("2", "need 1 <= r <= s, got r=0, s=3"),
+    ("4", "p must be a prime >= 2, got 4"),
+])
+def test_query_commands_share_one_message(capsys, p, message):
+    want = json.dumps({"error": {"code": "invalid-argument", "message": message}},
+                      separators=(", ", ": ")) + "\n"
+    for command in QUERIES:
+        assert run(capsys, command, "--r", "0", "--s", "3", "--p", p) == (2, want), command
+    assert run(capsys, "oracle", "--r", "0", "--s", "3", "--p", p,
+               "--kind", "nilpotent") == (2, want)
+
+
+def test_group_modes_share_one_rule_for_r(capsys):
+    want = ('{"error": {"code": "invalid-argument", '
+            '"message": "r must be a positive integer, got 0"}}\n')
+    for mode in ((), ("--verify",), ("--census",), ("--blocks",)):
+        assert run(capsys, "group", "--r", "0", "--p", "2", *mode) == (2, want), mode
+
+
+def test_group_answers_r_one_in_every_mode(capsys):
+    assert group_generators(1, 2) == [] and group_generators(1, 7) == []
+    assert generator_census(1, 3) == 1
+    assert verify_wreath(1, 3) == verify_wreath(1, 3, cap=1)
+    assert run(capsys, "group", "--r", "1", "--p", "2", "--census") == (
+        0, '{"r": 1, "p": 2, "census": 1}\n')
+    assert run(capsys, "group", "--r", "1", "--p", "2", "--blocks") == (
+        0, '{"r": 1, "p": 2, "b": 1, "blocks": [[1]]}\n')
+    code, out = run(capsys, "group", "--r", "1", "--p", "2")
+    assert code == 0 and json.loads(out)["verdict"] is True
+    code, out = run(capsys, "group", "--r", "1", "--p", "2", "--cap", "0")
+    assert code == 2 and json.loads(out)["error"]["code"] == "resource-cap"
+
+
+def test_grid_checks_rmax_before_primes(capsys):
+    for command in (("table", "--name", "small-s"), ("sweep",)):
+        code, out = run(capsys, *command, "--rmax", "0", "--primes", "x")
+        assert code == 2, command
+        assert json.loads(out)["error"]["message"] == "--rmax must be >= 1, got 0", command
+
+
+def test_abbreviated_flags_are_rejected(capsys):
+    for argv in (("table", "--name", "pi3", "--p", "3", "--primes", "5"),
+                 ("table", "--name", "pi3", "--pr", "3"),
+                 ("sweep", "--rm", "3"),
+                 ("pi", "--r", "3", "--s", "4", "--p", "2", "--js")):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == "", argv

