@@ -1,9 +1,10 @@
 """Independent references that the tests compare the package against.
 
 Each one computes by a route the package does not ship: Kummer carry counts
-for binomial valuations, the exact big-integer determinant D_n(r, s), and the
-breadth-first closure of a permutation group. Only the input checks and the
-permutation primitives come from the package.
+for binomial valuations, the exact big-integer determinant D_n(r, s), the
+breadth-first closure of a permutation group, and the test of a dihedral block
+action by stabilizer-chain order and membership. Only the input checks, the
+permutation primitives and the stabilizer chain come from the package.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from normanform.groupengine import DegreeCapExceeded
+from normanform.groupengine import DegreeCapExceeded, PermGroup, expected_wreath_order
 from normanform.parith import check_rsp, ensure_prime
 from normanform.perm import Permutation, compose, identity
 
@@ -85,3 +86,15 @@ def closure(generators: Iterable[Permutation], degree: int,
                     nxt.append(hg)
         frontier = nxt
     return frozenset(seen)
+
+
+def generates_dihedral(images: list[Permutation], b: int) -> bool:
+    """True iff the images generate D_b, whose reflections n -> (c - n mod b) + 1
+    give the shape of the induced block action: iff |<images>| = |D_b| and
+    <images> contains every reflection. The order alone would accept any other
+    group of order |D_b|.
+    """
+    H = PermGroup(images, b, cap=b)
+    return H.order() == expected_wreath_order(1, b) and all(
+        H.contains(Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1))))
+        for c in range(b))

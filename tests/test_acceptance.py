@@ -161,12 +161,19 @@ def test_criterion_6_wreath_structure():
             rep = nf.verify_wreath(r, p)
             assert rep.order == rep.expected_order, (r, p, rep)
             assert rep.verdict, (r, p, rep)
+            # the stabilizer chain re-derives the certificate's order and membership
+            chain = nf.PermGroup(nf.group_generators(r, p), r)
+            assert chain.order() == rep.order, (r, p, rep)
+            if rep.a > 1:
+                a_cycle = nf.Permutation(tuple(range(2, rep.a + 1)) + (1,))
+                for sigma in (nf.transposition(1, 2, rep.a), a_cycle):
+                    assert chain.contains(nf.diagonal_embed(sigma, rep.a, rep.b)), (r, p)
             if rep.a > 1 and rep.b > 1:
                 assert rep.l9_transposition_found, (r, p)
             if (r, p) in anchors:
                 assert rep.order == anchors[(r, p)]
             groups += 1
-    report("6 wreath-structure", f"{groups} groups, orders exact")
+    report("6 wreath-structure", f"{groups} groups, orders exact, chain-checked")
 
 
 def test_criterion_7_bijection_roundtrips():

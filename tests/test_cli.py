@@ -227,6 +227,22 @@ def test_sweep_all_checks_golden(capsys):
     assert out.encode() == (GOLDEN / "sweep_all_r8_s20_p23.csv").read_bytes()
 
 
+def test_sweep_wreath_golden(capsys):
+    code, out = run(capsys, "sweep", "--checks", "wreath", "--rmax", "24",
+                    "--primes", "2,3,5,7,11", "--format", "csv")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "sweep_wreath_r24.csv").read_bytes()
+
+
+def test_group_verify_golden_at_prime_power_degrees(capsys):
+    out = b""
+    for r, p in ((32, 2), (64, 2), (27, 3), (25, 5), (49, 7)):
+        code, text = run(capsys, "group", "--r", str(r), "--p", str(p), "--verify")
+        assert code == 0
+        out += text.encode()
+    assert out == (GOLDEN / "group_verify_prime_powers.jsonl").read_bytes()
+
+
 def test_sweep_unknown_check(capsys):
     code, payload = run_json(capsys, "sweep", "--checks", "nonsense")
     assert code == 2 and payload["error"]["code"] == "usage"

@@ -1,18 +1,24 @@
 import random
+import time
+from dataclasses import replace
+from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normanform import parith
-from normanform.groupengine import (DegreeCapExceeded, PermGroup, _generates_dihedral,
-                                    diagonal_embed, expected_wreath_order,
-                                    generator_census, group_generators, phi_image,
-                                    residue_blocks, verify_wreath)
+from normanform import groupengine, parith
+from normanform.groupengine import (DegreeCapExceeded, PermGroup, _certify,
+                                    _generates_dihedral, diagonal_embed,
+                                    expected_wreath_order, generator_census,
+                                    group_generators, phi_image, residue_blocks,
+                                    verify_wreath)
 from normanform.jordan import pi_of
 from normanform.parith import p_power_at_least
 from normanform.perm import (Permutation, compose, format_cycles, identity, rev,
                              transposition)
-from reference import closure
+from reference import closure, generates_dihedral
 
 
 def random_perm(rng, r):
@@ -122,24 +128,42 @@ def test_diagonal_embed_examples():
     assert diagonal_embed(cyc, 3, 1) == cyc
 
 
+def dihedral_elements(b):
+    """Every element of D_b as a permutation of the block indices [b]:
+    j -> (j + c - 1) mod b + 1 and j -> (c - j) mod b + 1; all of S_b for b <= 2."""
+    points = range(1, b + 1)
+    maps = {Permutation(tuple(images)) for c in range(b)
+            for images in ([(j + c - 1) % b + 1 for j in points],
+                           [(c - j) % b + 1 for j in points])}
+    return sorted(maps, key=lambda g: g.images)
+
+
 def test_generates_dihedral_accepts_reflections():
     for b in range(1, 9):
         reflections = [Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1)))
                        for c in range(b)]
-        assert _generates_dihedral(reflections, b), b
+        assert _generates_dihedral(reflections, b) and generates_dihedral(reflections, b), b
+        # the closed form agrees with the chain on every set of up to 3 elements of D_b
+        elements = dihedral_elements(b)
+        assert len(elements) == expected_wreath_order(1, b)
+        for k in range(4):
+            for images in combinations(elements, k):
+                images = list(images)
+                assert _generates_dihedral(images, b) == generates_dihedral(images, b), \
+                    (b, images)
 
 
 def test_generates_dihedral_rejects_other_groups():
     s4 = [transposition(1, 2, 4), Permutation((2, 3, 4, 1))]
     assert PermGroup(s4, 4).order() == 24
-    assert not _generates_dihedral(s4, 4)
     c6 = [Permutation((2, 3, 4, 5, 6, 1))]
     assert PermGroup(c6, 6).order() == 6
-    assert not _generates_dihedral(c6, 6)
     # A_4 on 6 points has order 12 = |D_6|: only the reflection membership rejects it
     a4 = [Permutation((2, 3, 1, 4, 5, 6)), Permutation((2, 1, 4, 3, 5, 6))]
     assert PermGroup(a4, 6).order() == expected_wreath_order(1, 6) == 12
-    assert not _generates_dihedral(a4, 6)
+    for images, b in ((s4, 4), (c6, 6), (a4, 6)):
+        assert not _generates_dihedral(images, b)
+        assert not generates_dihedral(images, b)
 
 
 def test_expected_wreath_order():
@@ -186,3 +210,104 @@ def test_verify_wreath_tests_primality_once(monkeypatch):
         calls.clear()
         assert verify_wreath(r, p).verdict
         assert calls == [p], (r, p)
+
+
+# -- the structural certificate -----------------------------------------------
+
+
+def block_preserving(a, b, block_map, within):
+    """The permutation (i-1)b + j -> (within[j-1](i) - 1)b + block_map(j) of [ab],
+    which sends residue block j to block block_map(j)."""
+    return Permutation(tuple((within[j - 1](i) - 1) * b + block_map(j)
+                             for i in range(1, a + 1) for j in range(1, b + 1)))
+
+
+@st.composite
+def block_preserving_sets(draw):
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 12 // a))
+    dihedral = dihedral_elements(b)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            block_map = draw(st.sampled_from(dihedral))
+        else:
+            block_map = Permutation(tuple(draw(st.permutations(range(1, b + 1)))))
+        within = [Permutation(tuple(draw(st.permutations(range(1, a + 1)))))
+                  if draw(st.booleans()) else identity(a) for _ in range(b)]
+        gens.append(block_preserving(a, b, block_map, within))
+    return a, b, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_preserving_sets())
+def test_certified_order_equals_chain_order(case):
+    a, b, gens = case
+    blocks_invariant, _, order = _certify(gens, a, b)
+    assert blocks_invariant
+    if order is not None:
+        assert order == PermGroup(gens, a * b).order() == expected_wreath_order(a, b)
+
+
+def test_certificate_misses_alternating_group():
+    # A_5, b = 1: no transposition; the 3-cycles join all points, but no generator is odd
+    gens = [Permutation((2, 3, 1, 4, 5)), Permutation((2, 3, 4, 5, 1))]
+    assert PermGroup(gens, 5).order() == 60
+    assert _certify(gens, 5, 1) == (True, True, None)
+    gens.append(transposition(1, 2, 5))
+    assert _certify(gens, 5, 1) == (True, True, 120)
+
+
+def test_certificate_misses_partial_transposition_graph():
+    # a = 3, b = 2, blocks {1,3,5} and {2,4,6}: the conjugates of (1,3) never reach 5 or 6
+    swap = Permutation((2, 1, 4, 3, 6, 5))
+    gens = [transposition(1, 3, 6), swap]
+    assert PermGroup(gens, 6).order() == 8
+    assert _certify(gens, 3, 2) == (True, True, None)
+    assert _certify(gens, 3, 2, (1, 3)) == (True, True, None)
+    gens.append(Permutation((3, 2, 5, 4, 1, 6)))
+    assert _certify(gens, 3, 2) == (True, True, expected_wreath_order(3, 2))
+
+
+def test_certificate_misses_block_breaker():
+    gens = [transposition(1, 2, 4), Permutation((3, 4, 1, 2))]
+    assert _certify(gens, 2, 2) == (False, False, None)
+
+
+def test_verify_wreath_falls_back_to_chain(monkeypatch):
+    certified = [verify_wreath(r, p) for (r, p) in [(6, 3), (5, 3), (12, 2), (27, 3)]]
+    # a certificate that never finds the order leaves order and membership to the chain
+    monkeypatch.setattr(groupengine, "_certify", lambda *args: (True, True, None))
+    for rep in certified:
+        assert rep.route == "certificate"
+        assert verify_wreath(rep.r, rep.p) == replace(rep, route="chain")
+
+
+def test_certificate_alone_for_r25_to_r64(monkeypatch):
+    """Every cell 25 <= r <= 64, p in {2,3,5,7} is certified with the expected
+    order; a cell that would need the chain fails here."""
+    class ChainNeeded(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise ChainNeeded
+
+    monkeypatch.setattr(groupengine, "PermGroup", refuse)
+    misses = set()
+    for p in (2, 3, 5, 7):
+        for r in range(25, 65):
+            try:
+                rep = verify_wreath(r, p)
+            except ChainNeeded:
+                misses.add((r, p))
+                continue
+            assert rep.route == "certificate" and rep.verdict, (r, p)
+            assert rep.order == rep.expected_order, (r, p)
+    assert misses == set()
+
+
+def test_verify_wreath_r60_is_fast():
+    start = time.perf_counter()
+    rep = verify_wreath(60, 2)
+    assert time.perf_counter() - start < 1.0
+    assert rep.verdict and rep.route == "certificate"
