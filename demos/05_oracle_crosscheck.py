@@ -1,8 +1,10 @@
 """Two roads to the same partition: binomial arithmetic vs matrix ranks.
 
-The oracle builds the Kronecker product over GF(p) literally and reads the
-Jordan structure from ranks of powers of the nilpotent part. It shares no
-code with the delta route, so agreement is evidence, not tautology.
+This script prints the Kronecker product over GF(p) literally and reads the
+Jordan structure from ranks of powers of the nilpotent part. oracle_lambda
+gets the same ranks from the graded blocks instead: each rank is a sum of
+small binomial blocks, one per degree of GF(p)[x, Y]/(x^r, Y^s). The oracle
+shares no code with the delta route, so agreement is evidence, not tautology.
 """
 
 import numpy as np

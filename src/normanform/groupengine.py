@@ -192,22 +192,23 @@ def residue_blocks(degree: int, b: int) -> list[tuple[int, ...]]:
     return [tuple(n for n in range(1, degree + 1) if n % b == j % b) for j in range(1, b + 1)]
 
 
-def _block_index(n: int, b: int) -> int:
-    """Index j in [b] of the residue block containing n."""
-    return (n - 1) % b + 1
+def _block_images(images: tuple[int, ...], b: int) -> Optional[tuple[int, ...]]:
+    """Block indices of the images of 1..b, for the permutation with these images
+    on a degree that b divides; None when it breaks a residue block, that is,
+    when some n and n + b land in different blocks."""
+    blocks = [(m - 1) % b + 1 for m in images]
+    head = blocks[:b]
+    return tuple(head) if blocks == head * (len(images) // b) else None
 
 
 def phi_image(g: Permutation, b: int) -> Permutation:
     """The permutation of block indices induced by g on the residue blocks."""
     if b < 1 or g.degree % b:
         raise ValueError(f"b={b} must divide the degree {g.degree}")
-    image: dict[int, int] = {}
-    for n in range(1, g.degree + 1):
-        j = _block_index(n, b)
-        jj = _block_index(g(n), b)
-        if image.setdefault(j, jj) != jj:
-            raise ValueError(f"{g} does not preserve the residue blocks mod {b}")
-    return Permutation(tuple(image[j] for j in range(1, b + 1)))
+    image = _block_images(g.images, b)
+    if image is None:
+        raise ValueError(f"{g} does not preserve the residue blocks mod {b}")
+    return Permutation(image)
 
 
 def diagonal_embed(sigma: Permutation, a: int, b: int) -> Permutation:
@@ -388,10 +389,10 @@ def _certify(gens: list[Permutation], a: int, b: int,
     transposition known to lie in <gens>; without one it is sought among
     short words in the generators.
     """
-    try:
-        images = list(dict.fromkeys(phi_image(g, b) for g in gens))
-    except ValueError:
+    images = [_block_images(g.images, b) for g in gens]
+    if None in images:
         return False, False, None
+    images = [Permutation(image) for image in dict.fromkeys(images)]
     if not _generates_dihedral(images, b):
         return True, False, None
     if a > 1 and not _kernel_is_full([g.images for g in gens], b, seed):

@@ -284,3 +284,16 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "lambda", "--r", "6", "--s", "11", "--p", "3", "--json")
     b = run(capsys, "lambda", "--r", "6", "--s", "11", "--p", "3", "--json")
     assert a == b
+
+
+def test_oracle_cli_golden(capsys):
+    # tests/golden/oracle_cli.jsonl holds one line per invocation, recorded from
+    # the dense Kronecker oracle: r <= s <= 8 at p in {2, 3} for both kinds, a
+    # swapped pair, and the cap and int64 rejections
+    golden = (GOLDEN / "oracle_cli.jsonl").read_bytes()
+    out = b""
+    for line in golden.decode().splitlines():
+        argv = json.loads(line)["argv"]
+        code, text = run(capsys, *argv)
+        out += (json.dumps({"argv": argv, "exit": code, "stdout": text}) + "\n").encode()
+    assert out == golden

@@ -2,15 +2,20 @@ import os
 import random
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normanform.jordan import lambda_of
-from normanform.oracle import (DimensionCapExceeded, MatrixGFp, build_tensor,
+from normanform.oracle import (DimensionCapExceeded, MatrixGFp, _block_rank, _graded_ranks,
+                               _rank_sequence, _row_echelon, build_tensor,
                                jcf_partition_single_eigenvalue, nilpotent_mu,
                                oracle_lambda, oracle_nilpotent, rank_gfp)
+from reference import dn_exact
 
 
 def test_build_tensor_examples():
@@ -192,3 +197,115 @@ def test_jcf_of_permuted_jordan_nilpotent():
             M = P @ N @ P.T + eigenvalue * np.eye(d, dtype=np.int64)
             got = jcf_partition_single_eigenvalue(MatrixGFp(p, M), eigenvalue)
             assert got.parts == parts, (parts, p)
+
+
+# -- the graded oracle against the literal Kronecker matrix -------------------------
+
+KINDS = (("unipotent", oracle_lambda), ("nilpotent", oracle_nilpotent))
+
+
+def dense_partition(r, s, p, kind):
+    eigenvalue = 1 if kind == "unipotent" else 0
+    return jcf_partition_single_eigenvalue(build_tensor(r, s, p, kind, cap=r * s), eigenvalue)
+
+
+def test_graded_matches_dense_grid():
+    for kind, graded in KINDS:
+        for p in (2, 3, 5, 7):
+            for r in range(1, 9):
+                for s in range(r, 13):
+                    assert graded(r, s, p) == dense_partition(r, s, p, kind), (r, s, p, kind)
+        for r, s in ((1, 1), (2, 5), (4, 4), (5, 9), (7, 12)):
+            assert graded(r, s, 1000003) == dense_partition(r, s, 1000003, kind), (r, s, kind)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 900 // r))),
+       st.sampled_from((2, 3, 5, 7, 11, 13)))
+def test_graded_matches_dense_random(rs, p):
+    r, s = rs
+    for kind, graded in KINDS:
+        assert graded(r, s, p) == dense_partition(r, s, p, kind), (r, s, p, kind)
+
+
+def coefficient(kind, k, t, p):
+    """Coefficient of x^t in f^k: f = x + Y (unipotent) or xy (nilpotent)."""
+    if kind == "unipotent":
+        return comb(k, t) % p if 0 <= t <= k else 0
+    return int(t == k)
+
+
+def test_block_shortcut_and_duality_match_elimination():
+    # every block of every power, ranked three ways: written out and eliminated,
+    # by _block_rank (shortcut or elimination), and through its dual block
+    for kind, _ in KINDS:
+        deg, eigenvalue = (1, 1) if kind == "unipotent" else (2, 0)
+        for p in (2, 3, 5):
+            for r in range(1, 7):
+                for s in range(r, 9):
+                    top = r + s - 2
+                    ranks = []
+                    for k in range(1, top // deg + 1):
+                        shift = k * deg
+                        coef = np.array([coefficient(kind, k, t, p)
+                                         for t in range(min(shift, r - 1) + 1)], dtype=np.int64)
+                        nonzero = np.flatnonzero(coef).tolist()
+                        rank = {}
+                        for d in range(top - shift + 1):
+                            a, b = max(0, d - s + 1), min(d, r - 1)
+                            c, e = max(0, d + shift - s + 1), min(d + shift, r - 1)
+                            block = np.array([[coefficient(kind, k, j - i, p)
+                                               for j in range(c, e + 1)]
+                                              for i in range(a, b + 1)], dtype=np.int64)
+                            rank[d] = _row_echelon(block, p)[0]
+                            if nonzero:
+                                assert _block_rank(coef, nonzero[0], nonzero[-1],
+                                                   a, b, c, e, p) == rank[d]
+                            else:
+                                assert rank[d] == 0
+                        for d in rank:
+                            assert rank[d] == rank[top - d - shift], (r, s, p, kind, k, d)
+                        ranks.append(sum(rank.values()))
+                    while ranks and ranks[-1] == 0:
+                        ranks.pop()
+                    N = (build_tensor(r, s, p, kind).entries
+                         - eigenvalue * np.eye(r * s, dtype=np.int64)) % p
+                    assert ranks == _rank_sequence(N, p), (r, s, p, kind)
+                    assert ranks == _graded_ranks(
+                        r, s, p, deg, lambda k, w: [coefficient(kind, k, t, p)
+                                                    for t in range(w + 1)]), (r, s, p, kind)
+
+
+def exact_det(rows):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    A = [list(row) for row in rows]
+    n, sign, prev = len(A), 1, 1
+    for i in range(n - 1):
+        pivot = next((j for j in range(i, n) if A[j][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            A[i], A[pivot], sign = A[pivot], A[i], -sign
+        for j in range(i + 1, n):
+            for m in range(i + 1, n):
+                A[j][m] = (A[j][m] * A[i][i] - A[j][i] * A[i][m]) // prev
+        prev = A[i][i]
+    return sign * A[n - 1][n - 1] if n else 1
+
+
+def test_dn_is_a_block_determinant():
+    # D_n(r, s) is the determinant of the square degree-(n-1) block of (x + Y)^(r+s-2n)
+    for r in range(1, 8):
+        for s in range(r, 11):
+            for n in range(1, r + 1):
+                k = r + s - 2 * n
+                block = [[comb(k, j - i) if 0 <= j - i <= k else 0 for j in range(r - n, r)]
+                         for i in range(n)]
+                assert exact_det(block) == dn_exact(r, s, n), (r, s, n)
+
+
+def test_graded_oracle_large_cell():
+    start = time.perf_counter()
+    part = oracle_lambda(40, 60, 7)
+    assert time.perf_counter() - start < 2.0
+    assert part == lambda_of(40, 60, 7)
