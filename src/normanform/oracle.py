@@ -22,24 +22,49 @@ x^(i'-i) in f^k, which is C(k, i'-i) mod p for x + Y, and 1 at i'-i = k
 (0 elsewhere) for xy. No entry has an offset i'-i above r-1, and every degree
 d from r-1 to s-1-k deg f gives the same full r x r block, ranked once.
 
-Unit-triangular shortcut. Let t be the lowest or the highest offset in
-0..r-1 whose coefficient in f^k is nonzero mod p. If the shifted rows
-[a+t, b+t] lie inside the columns [c, e] of the block, the columns i+t form a
-triangular square with that coefficient on its diagonal, so the block has
-full row rank; the mirror test on columns gives full column rank. Only the
-remaining blocks go through elimination.
-
 Degree duality. The pairing <u, v> = coefficient of the socle x^(r-1) Y^(s-1)
 in uv is nondegenerate and pairs R_d with R_{top-d}, top = r+s-2, and
 <fu, v> = <u, fv>. So the block of f^k at degree d is the transpose of the
 block at degree top - d - k deg f, and only the lower degree of each pair is
-ranked.
+ranked. A power is ranked only while f^k != 0, that is while some nonzero
+coefficient of x^t sits at t >= k deg f - s + 1, where the monomial survives.
+
+Lower-half blocks. For d <= (top - k deg f)/2 we have d <= s-1, so a = 0, and
+row i <= b has no entry past column i + k deg f <= d + k deg f, so the bound
+e is vacuous: the block is rows 0..b by columns c..r-1 of one r x r upper
+triangular Toeplitz matrix T_k[i, i'] = coef_k[i'-i]. Reversing the columns
+of T_k turns every such block into a leading (row-prefix by column-prefix)
+rectangle.
+
+Closed rules. Two rules rank a block without elimination. If coef_k has one
+nonzero offset t (always so for xy), the rank is the number of entries of
+that diagonal inside the block. If the lowest or highest nonzero offset t
+puts the shifted rows [a+t, b+t] inside the columns [c, e], the columns i+t
+form a triangular square with that coefficient on its diagonal, so the block
+has full row rank. The mirror test on columns adds nothing: in the lower
+half R_{d + k deg f} is at least as large as R_d, so a block that the column
+test accepts is square, and then the row test holds with the same t.
+
+Rank profile. The powers with a block left over are eliminated together,
+once each: the distinct coefficient vectors (equal vectors give equal
+matrices) are stacked as reversed T_k in one (K, r, r) array and reduced in
+r column steps. Each step takes as pivot the topmost row that is nonzero in
+the column and has not been a pivot row, clears the column only in the rows
+below it, and never swaps rows, so every row prefix keeps its row space. The
+pivots then form the rank profile (Dumas, Pernet and Sultan, ISSAC 2013):
+the rank of each leading rectangle is the number of pivots in it, which two
+cumulative sums give for every block at once, the full middle block
+included. A used pivot row is zeroed, which keeps it out of later steps and
+changes no later pivot, since the other rows evolve as before. Rows are
+updated fraction-free, row * pivot - factor * pivotrow (mod p), so no
+inverse is needed; each product, and so their difference, is at most
+(p-1)^2 in size, within the int64 bound that _check_int64 enforces.
 
 What this shares with the delta route: the entries are binomials mod p, and
 D_n(r, s) is the determinant of the square degree-(n-1) block of
 (x + Y)^(r+s-2n). What it does not share: no Legendre sums and no carry
-arithmetic; ranks come from exact elimination mod p, and nothing here imports
-the delta route.
+arithmetic; ranks come from counting entries and exact elimination mod p,
+and nothing here imports the delta route.
 """
 
 from __future__ import annotations
@@ -54,6 +79,10 @@ from .jordan import Partition
 from .parith import check_rsp, ensure_prime
 
 DEFAULT_CAP = 4096
+# entries of one stacked elimination: a cell within the default cap stacks at most
+# (r + s) r^2 <= 2^19, so it takes one; a raised cap splits the stack instead of
+# letting its memory grow with r^3
+_STACK_ENTRIES = 2 ** 21
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -66,7 +95,9 @@ def _check_cap(dimension: int, cap: int) -> None:
 
 
 def _check_int64(dimension: int, p: int) -> None:
-    # elimination products reach (p-1)^2, and an entry of a row-basis product sums d of them
+    # products of two residues reach (p-1)^2: the dense route sums up to d of them in
+    # an entry of a row-basis product, and the graded route's fraction-free update
+    # subtracts one from another, so d * (p-1)^2 < 2^63 covers both
     if dimension * (p - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"dimension {dimension} at p={p} overflows int64: "
                          f"need dimension * (p-1)^2 < 2^63")
@@ -206,19 +237,40 @@ def jcf_partition_single_eigenvalue(M: MatrixGFp, eigenvalue: int) -> Partition:
     return part
 
 
-def _block_rank(coef: np.ndarray, lo: int, hi: int, a: int, b: int, c: int, e: int,
-                p: int) -> int:
-    """Rank of the block with rows i in [a, b], columns i' in [c, e] and entries
-    coef[i' - i] (0 off the ends of coef), whose lowest and highest nonzero offsets
-    are lo and hi."""
-    if any(c <= a + t and b + t <= e for t in (lo, hi)):
-        return b - a + 1
-    if any(a <= c - t and e - t <= b for t in (lo, hi)):
-        return e - c + 1
-    offsets = np.arange(c, e + 1) - np.arange(a, b + 1)[:, None]
-    inside = (offsets >= 0) & (offsets < len(coef))
-    block = np.where(inside, coef[np.clip(offsets, 0, len(coef) - 1)], 0)
-    return _row_echelon(block, p)[0]
+def _closed_rank(lo: int, hi: int, b: int, c: int, e: int) -> int | None:
+    """Rank of the block with rows 0..b, columns c..e and entries coef[i' - i] whose
+    lowest and highest nonzero offsets are lo and hi, when a closed rule decides it:
+    one nonzero offset, or a unit-triangular square. None when neither applies."""
+    if lo == hi:
+        return max(0, min(b, e - lo) - max(0, c - lo) + 1)
+    if c <= lo and b + lo <= e or c <= hi and b + hi <= e:
+        return b + 1
+    return None
+
+
+def _rank_profiles(coefs: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of all blocks of the r x r matrices T[i, i'] = coef[i' - i] (0 for
+    i' < i), one per row of coefs (shape (K, r)), from one stacked elimination.
+
+    Returns counts of shape (K, r, r): counts[k, b, c] is the rank of rows 0..b by
+    columns c..r-1 of the k-th matrix. See the module docstring for the pivots.
+    """
+    K, r = coefs.shape
+    offset = r - 1 - np.add.outer(np.arange(r), np.arange(r))
+    # A[j, k] is column j of the k-th matrix with its columns reversed
+    A = np.where(offset[:, None, :] >= 0, coefs[:, np.maximum(offset, 0)].transpose(1, 0, 2), 0)
+    pivots = np.zeros((K, r, r), dtype=np.int64)
+    stack, rows = np.arange(K), np.arange(r)
+    for j in range(r):
+        column = A[j]
+        top = (column != 0).argmax(axis=1)
+        pivot = column[stack, top]
+        pivots[stack, top, j] = pivot != 0
+        # the rows at or below the pivot with a nonzero entry; the pivot row itself
+        # is zeroed, which takes it out of the later columns' candidates
+        k, i = np.nonzero((rows >= top[:, None]) & (column != 0))
+        A[j + 1:, k, i] = (A[j + 1:, k, i] * pivot[k] - column[k, i] * A[j + 1:, k, top[k]]) % p
+    return pivots.cumsum(axis=1).cumsum(axis=2)[:, :, ::-1]
 
 
 def _graded_ranks(r: int, s: int, p: int, deg: int,
@@ -229,26 +281,47 @@ def _graded_ranks(r: int, s: int, p: int, deg: int,
     power(k, w) lists the coefficients mod p of x^t (times the matching power
     of the other variable) in f^k for t = 0..w; w stops at r - 1, the largest
     offset a block entry can have. See the module docstring for the blocks,
-    the middle run of equal blocks and the duality.
+    the middle run of equal blocks, the duality, the closed rules and the
+    stacked elimination of the powers they leave over.
     """
     top = r + s - 2
     ranks: list[int] = []
+    slots: dict[tuple[int, ...], int] = {}
+    pending: list[tuple[int, int, int, int, int]] = []
     for k in range(1, top // deg + 1):
         shift = k * deg
-        coef = np.array(power(k, min(shift, r - 1)), dtype=np.int64)
-        nonzero = np.flatnonzero(coef)
-        if nonzero.size == 0:
+        coef = power(k, min(shift, r - 1))
+        nonzero = [t for t, v in enumerate(coef) if v]
+        if not nonzero or nonzero[-1] < shift - s + 1:
             break
-        lo, hi = int(nonzero[0]), int(nonzero[-1])
+        lo, hi = nonzero[0], nonzero[-1]
         middle = s - r - shift + 1
-        total = middle * _block_rank(coef, lo, hi, 0, r - 1, 0, r - 1, p) if middle > 0 else 0
-        for d in range(min(r - 2, (top - shift) // 2) + 1):
-            rank = _block_rank(coef, lo, hi, max(0, d - s + 1), min(d, r - 1),
-                               max(0, d + shift - s + 1), min(d + shift, r - 1), p)
-            total += rank if 2 * d + shift == top else 2 * rank
-        if total == 0:
-            break
+        blocks = [(middle, r - 1, 0, r - 1)] if middle > 0 else []
+        blocks += [(1 if 2 * d + shift == top else 2, d, max(0, d + shift - s + 1),
+                    min(d + shift, r - 1))
+                   for d in range(min(r - 2, (top - shift) // 2) + 1)]
+        total = 0
+        for weight, b, c, e in blocks:
+            rank = _closed_rank(lo, hi, b, c, e)
+            if rank is None:
+                key = tuple(coef + [0] * (r - len(coef)))
+                pending += [(len(ranks), slots.setdefault(key, len(slots)), weight, b, c)
+                            for weight, b, c, _ in blocks]
+                total = 0
+                break
+            total += weight * rank
         ranks.append(total)
+    if pending:
+        index, slot, weight, b, c = (np.array(v, dtype=np.int64) for v in zip(*pending))
+        stack = np.array(list(slots), dtype=np.int64)
+        block_rank = np.empty_like(index)
+        step = max(1, _STACK_ENTRIES // (r * r))
+        for first in range(0, len(stack), step):
+            here = (slot >= first) & (slot < first + step)
+            counts = _rank_profiles(stack[first:first + step], p)
+            block_rank[here] = counts[slot[here] - first, b[here], c[here]]
+        for i, add in zip(index.tolist(), (weight * block_rank).tolist()):
+            ranks[i] += add
     return ranks
 
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normanform import delta, oracle
 from normanform.jordan import lambda_of
-from normanform.oracle import (DimensionCapExceeded, MatrixGFp, _block_rank, _graded_ranks,
-                               _rank_sequence, _row_echelon, build_tensor,
+from normanform.oracle import (DimensionCapExceeded, MatrixGFp, _closed_rank, _graded_ranks,
+                               _rank_profiles, _rank_sequence, _row_echelon, build_tensor,
                                jcf_partition_single_eigenvalue, nilpotent_mu,
                                oracle_lambda, oracle_nilpotent, rank_gfp)
 from reference import dn_exact
@@ -235,9 +236,16 @@ def coefficient(kind, k, t, p):
     return int(t == k)
 
 
+def lower_block(r, s, shift, d):
+    """Rows 0..b and columns c..e of the lower block of the dual pair d <-> top - d - shift."""
+    d = min(d, r + s - 2 - shift - d)
+    return min(d, r - 1), max(0, d + shift - s + 1), min(d + shift, r - 1)
+
+
 def test_block_shortcut_and_duality_match_elimination():
-    # every block of every power, ranked three ways: written out and eliminated,
-    # by _block_rank (shortcut or elimination), and through its dual block
+    # every block of every power, written out and eliminated, against the rank-profile
+    # count of its lower dual block and, where one applies, the closed rule; and
+    # against the block at the dual degree
     for kind, _ in KINDS:
         deg, eigenvalue = (1, 1) if kind == "unipotent" else (2, 0)
         for p in (2, 3, 5):
@@ -247,9 +255,9 @@ def test_block_shortcut_and_duality_match_elimination():
                     ranks = []
                     for k in range(1, top // deg + 1):
                         shift = k * deg
-                        coef = np.array([coefficient(kind, k, t, p)
-                                         for t in range(min(shift, r - 1) + 1)], dtype=np.int64)
-                        nonzero = np.flatnonzero(coef).tolist()
+                        coef = [coefficient(kind, k, t, p) for t in range(r)]
+                        counts = _rank_profiles(np.array([coef], dtype=np.int64), p)[0]
+                        nonzero = [t for t in range(r) if coef[t]]
                         rank = {}
                         for d in range(top - shift + 1):
                             a, b = max(0, d - s + 1), min(d, r - 1)
@@ -258,9 +266,11 @@ def test_block_shortcut_and_duality_match_elimination():
                                                for j in range(c, e + 1)]
                                               for i in range(a, b + 1)], dtype=np.int64)
                             rank[d] = _row_echelon(block, p)[0]
+                            lower = lower_block(r, s, shift, d)
+                            assert counts[lower[:2]] == rank[d], (r, s, p, kind, k, d)
                             if nonzero:
-                                assert _block_rank(coef, nonzero[0], nonzero[-1],
-                                                   a, b, c, e, p) == rank[d]
+                                assert _closed_rank(nonzero[0], nonzero[-1], *lower) in (
+                                    None, rank[d]), (r, s, p, kind, k, d)
                             else:
                                 assert rank[d] == 0
                         for d in rank:
@@ -274,6 +284,95 @@ def test_block_shortcut_and_duality_match_elimination():
                     assert ranks == _graded_ranks(
                         r, s, p, deg, lambda k, w: [coefficient(kind, k, t, p)
                                                     for t in range(w + 1)]), (r, s, p, kind)
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """(coefficient rows of one length r <= 12, p), some rows repeated in the stack."""
+    r = draw(st.integers(1, 12))
+    p = draw(st.sampled_from((2, 3, 5, 7, 1000003)))
+    row = st.lists(st.one_of(st.just(0), st.integers(1, p - 1)), min_size=r, max_size=r)
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+    return draw(st.permutations(distinct + repeats)), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_stacks())
+def test_rank_profiles_match_elimination_of_every_block(stack_p):
+    # rows 0..b by columns c..r-1 of T[i, i'] = coef[i' - i], written out and eliminated
+    stack, p = stack_p
+    r = len(stack[0])
+    counts = _rank_profiles(np.array(stack, dtype=np.int64), p)
+    assert counts.shape == (len(stack), r, r)
+    for coef, count in zip(stack, counts):
+        for b in range(r):
+            for c in range(r):
+                block = np.array([[coef[j - i] if j >= i else 0 for j in range(c, r)]
+                                  for i in range(b + 1)], dtype=np.int64)
+                assert count[b, c] == _row_echelon(block, p)[0], (coef, p, b, c)
+
+
+def test_oracle_nilpotent_needs_no_elimination(monkeypatch):
+    # one nonzero offset in every power of xy: the single-diagonal rule ranks each block
+    def refuse(*args):
+        raise AssertionError("oracle_nilpotent eliminated a matrix")
+
+    monkeypatch.setattr(oracle, "_rank_profiles", refuse)
+    monkeypatch.setattr(oracle, "_row_echelon", refuse)
+    for p in (2, 3, 5):
+        for r in range(1, 17):
+            for s in range(r, 17):
+                # N_r (x) N_s: s-r+1 blocks of size r and two of each size below r
+                expected = (r,) * (s - r + 1) + tuple(j for j in range(r - 1, 0, -1)
+                                                      for _ in range(2))
+                assert oracle_nilpotent(r, s, p).parts == expected, (r, s, p)
+
+
+def test_graded_oracle_never_calls_the_delta_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called the delta route")
+
+    # every module that bound delta_profile by name, delta itself included
+    original = delta.delta_profile
+    for module in list(sys.modules.values()):
+        if getattr(module, "delta_profile", None) is original:
+            monkeypatch.setattr(module, "delta_profile", refuse)
+    with pytest.raises(AssertionError):
+        lambda_of(3, 4, 2)
+    for kind, graded in KINDS:
+        for p in (2, 3, 5):
+            for r in range(1, 7):
+                for s in range(r, 9):
+                    assert graded(r, s, p) == dense_partition(r, s, p, kind), (r, s, p, kind)
+
+
+def test_split_stack_matches_one_stack(monkeypatch):
+    # a raised cap splits the stack; one or a few matrices per elimination give the same ranks
+    expected = {(r, s, p): oracle_lambda(r, s, p)
+                for p in (2, 3, 7) for r in range(1, 13) for s in range(r, 15)}
+    for entries in (1, 300):
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", entries)
+        for (r, s, p), part in expected.items():
+            assert oracle_lambda(r, s, p) == part, (r, s, p, entries)
+
+
+def test_graded_oracle_at_the_int64_edge():
+    # (3, 3) is the largest cell the int64 bound admits at p = 10^9+7, and
+    # 1012333499 the largest prime it admits at dimension 9
+    for p in (10**9 + 7, 1012333499):
+        for kind, graded in KINDS:
+            assert graded(3, 3, p) == dense_partition(3, 3, p, kind), (p, kind)
+    with pytest.raises(ValueError, match="overflows int64"):
+        oracle_lambda(3, 4, 10**9 + 7)
+    with pytest.raises(ValueError, match="overflows int64"):
+        oracle_lambda(3, 3, 1012333519)
+
+
+def test_graded_oracle_at_the_cap():
+    # (64, 64) is the largest square cell within the default cap of 4096
+    for p in (2, 1000003):
+        assert oracle_lambda(64, 64, p) == lambda_of(64, 64, p), p
 
 
 def exact_det(rows):
