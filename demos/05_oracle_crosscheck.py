@@ -9,20 +9,44 @@ shares no code with the delta route, so agreement is evidence, not tautology.
 
 import numpy as np
 
-from normanform import MatrixGFp, build_tensor, lambda_of, oracle_lambda, rank_gfp
+from normanform import lambda_of, oracle_lambda
 
 R, S, P = 3, 4, 2
 
-M = build_tensor(R, S, P)
-print(f"J_{R} (x) J_{S} over GF({P}), dimension {M.dimension}:")
-print(M.entries)
 
-N = (M.entries - np.eye(M.dimension, dtype=np.int64)) % P
+def jordan_block(n):
+    """n x n unipotent Jordan block: 1 on the diagonal and the superdiagonal."""
+    return np.eye(n, dtype=np.int64) + np.eye(n, k=1, dtype=np.int64)
+
+
+def rank_mod(A, p):
+    """Rank of A over GF(p) by Gaussian elimination."""
+    A = A.copy() % p
+    rank = 0
+    for col in range(A.shape[1]):
+        rows = np.nonzero(A[rank:, col])[0]
+        if rows.size == 0:
+            continue
+        A[[rank, rank + rows[0]]] = A[[rank + rows[0], rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
+        A[rank + 1:] = (A[rank + 1:] - np.outer(A[rank + 1:, col], A[rank])) % p
+        rank += 1
+        if rank == A.shape[0]:
+            break
+    return rank
+
+
+M = np.kron(jordan_block(R), jordan_block(S)) % P
+dimension = M.shape[0]
+print(f"J_{R} (x) J_{S} over GF({P}), dimension {dimension}:")
+print(M)
+
+N = (M - np.eye(dimension, dtype=np.int64)) % P
 print("\nranks of (M - I)^k:")
-ranks = [M.dimension]
+ranks = [dimension]
 Pow = N.copy()
 while Pow.any():
-    ranks.append(rank_gfp(MatrixGFp(P, Pow)))
+    ranks.append(rank_mod(Pow, P))
     Pow = (Pow @ N) % P
 ranks.append(0)
 for k, rk in enumerate(ranks):

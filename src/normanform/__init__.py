@@ -12,9 +12,8 @@ from .groupengine import (GroupReport, PermGroup, diagonal_embed, generator_cens
                           group_generators, phi_image, residue_blocks, verify_wreath)
 from .jordan import (FastPathResult, JordanResult, Partition, deviation, jordan_result,
                      lambda_of, pi_fast_path, pi_of)
-from .oracle import (DEFAULT_CAP, DimensionCapExceeded, MatrixGFp, build_tensor,
-                     jcf_partition_single_eigenvalue, nilpotent_mu, oracle_lambda,
-                     oracle_nilpotent, rank_gfp)
+from .oracle import (DEFAULT_CAP, DimensionCapExceeded, nilpotent_mu, oracle_lambda,
+                     oracle_nilpotent)
 from .parith import (PPartDecomposition, ensure_prime, is_prime, p_adic_valuation,
                      p_parts, p_power_at_least)
 from .perm import (CycleParseError, Permutation, compose, conjugate, embed,

@@ -1,10 +1,7 @@
 """Rank-based ground truth for Jordan partitions over GF(p).
 
-Two routes live here. The dense route builds the Kronecker product of two
-Jordan blocks literally (`build_tensor`) and reads the Jordan type from the
-ranks of powers of its nilpotent part (`jcf_partition_single_eigenvalue`); it
-is the literal reference that the tests hold the graded route to.
-`oracle_lambda` and `oracle_nilpotent` take the graded route.
+`oracle_lambda` and `oracle_nilpotent` read the Jordan type from the ranks of
+the powers of the nilpotent part, computed degree by degree as below.
 
 Change of basis. J_r is multiplication by 1+x on GF(p)[x]/(x^r), so
 J_r (x) J_s - I is multiplication by (1+x)(1+y) - 1 = x + y + xy on
@@ -58,7 +55,7 @@ included. A used pivot row is zeroed, which keeps it out of later steps and
 changes no later pivot, since the other rows evolve as before. Rows are
 updated fraction-free, row * pivot - factor * pivotrow (mod p), so no
 inverse is needed; each product, and so their difference, is at most
-(p-1)^2 in size, within the int64 bound that _check_int64 enforces.
+(p-1)^2 in size, whatever the dimension, which _check_int64 keeps below 2^63.
 
 What this shares with the delta route: the entries are binomials mod p, and
 D_n(r, s) is the determinant of the square degree-(n-1) block of
@@ -69,14 +66,13 @@ and nothing here imports the delta route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
 import numpy as np
 
 from .jordan import Partition
-from .parith import check_rsp, ensure_prime
+from .parith import check_rsp
 
 DEFAULT_CAP = 4096
 # entries of one stacked elimination: a cell within the default cap stacks at most
@@ -94,120 +90,12 @@ def _check_cap(dimension: int, cap: int) -> None:
         raise DimensionCapExceeded(f"dimension {dimension} exceeds cap {cap}")
 
 
-def _check_int64(dimension: int, p: int) -> None:
-    # products of two residues reach (p-1)^2: the dense route sums up to d of them in
-    # an entry of a row-basis product, and the graded route's fraction-free update
-    # subtracts one from another, so d * (p-1)^2 < 2^63 covers both
-    if dimension * (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"dimension {dimension} at p={p} overflows int64: "
-                         f"need dimension * (p-1)^2 < 2^63")
-
-
-@dataclass(frozen=True)
-class MatrixGFp:
-    """A square matrix with entries reduced to [0, p-1]; immutable after construction."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", ensure_prime(self.p))
-        arr = np.asarray(self.entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        _check_int64(arr.shape[0], self.p)
-        arr = np.mod(arr, self.p)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-
-def jordan_block(ell: int, diag: int) -> np.ndarray:
-    """ell x ell upper bidiagonal block with constant diagonal and superdiagonal 1s."""
-    if ell < 1:
-        raise ValueError(f"block size must be >= 1, got {ell!r}")
-    block = np.eye(ell, dtype=np.int64) * diag
-    block += np.eye(ell, k=1, dtype=np.int64)
-    return block
-
-
-def build_tensor(r: int, s: int, p: int, kind: str = "unipotent",
-                 cap: int = DEFAULT_CAP) -> MatrixGFp:
-    """Kronecker product of two Jordan blocks of the requested kind over GF(p)."""
-    p = ensure_prime(p)
-    if r < 1 or s < 1:
-        raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
-    if kind not in ("unipotent", "nilpotent"):
-        raise ValueError(f"kind must be 'unipotent' or 'nilpotent', got {kind!r}")
-    _check_cap(r * s, cap)
-    diag = 1 if kind == "unipotent" else 0
-    return MatrixGFp(p, np.kron(jordan_block(r, diag), jordan_block(s, diag)))
-
-
-def _row_echelon(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """In-place row echelon of A mod p; returns (rank, the echelon rows)."""
-    m, n = A.shape
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        nz = np.nonzero(A[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            A[[rank, pr]] = A[[pr, rank]]
-        pivot = int(A[rank, col])
-        if pivot != 1:
-            A[rank, col:] = A[rank, col:] * pow(pivot, -1, p) % p
-        below = A[rank + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = rank + 1 + hit
-            A[rows, col:] = (A[rows, col:] - np.outer(below[hit], A[rank, col:])) % p
-        rank += 1
-    return rank, A[:rank]
-
-
-def rank_gfp(M: MatrixGFp) -> int:
-    """Rank over the field of p elements by exact modular elimination."""
-    return _row_echelon(M.entries.copy(), M.p)[0]
-
-
-def _rank_sequence(N: np.ndarray, p: int) -> list[int]:
-    """Ranks of N, N^2, ... down to (and excluding) 0, for nilpotent N over GF(p).
-
-    Works on a shrinking row-space chain: a row basis of N^{k+1} is the echelon
-    form of (row basis of N^k) @ N. Raises ValueError if the rank stops
-    decreasing before reaching 0, which certifies N is not nilpotent.
-    """
-    d = N.shape[0]
-    N = np.mod(N, p)
-    # basis @ N is one shifted column add per nonzero diagonal N[i, i+k]; a column
-    # still sums at most d terms below (p-1)^2, within MatrixGFp's int64 bound
-    rows, cols = np.nonzero(N)
-    diagonals = [(k, np.diagonal(N, k)) for k in np.unique(cols - rows).tolist()]
-    basis = N.copy()
-    ranks: list[int] = []
-    prev = d
-    while True:
-        rank, basis = _row_echelon(basis, p)
-        if rank == 0:
-            return ranks
-        if rank >= prev:
-            raise ValueError("matrix is not nilpotent: rank sequence stalled")
-        ranks.append(rank)
-        prev = rank
-        product = np.zeros_like(basis)
-        for k, diag in diagonals:
-            if k >= 0:
-                product[:, k:] += basis[:, :d - k] * diag
-            else:
-                product[:, :d + k] += basis[:, -k:] * diag
-        basis = product % p
+def _check_int64(p: int) -> None:
+    # the fraction-free update row * pivot - factor * pivotrow forms two products of
+    # residues, each at most (p-1)^2, and subtracts them, so (p-1)^2 < 2^63 bounds
+    # every intermediate at any dimension: p <= 3037000493 passes, 3037000507 fails
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"p={p} overflows int64: need (p-1)^2 < 2^63")
 
 
 def _partition_from_ranks(dimension: int, ranks: list[int]) -> Partition:
@@ -222,19 +110,6 @@ def _partition_from_ranks(dimension: int, ranks: list[int]) -> Partition:
         parts.extend([k] * width)
     parts.sort(reverse=True)
     return Partition(tuple(parts))
-
-
-def jcf_partition_single_eigenvalue(M: MatrixGFp, eigenvalue: int) -> Partition:
-    """Jordan block sizes of M for its single eigenvalue.
-
-    Requires M - eigenvalue*I nilpotent (verified by the rank chain reaching 0);
-    otherwise raises ValueError.
-    """
-    N = (M.entries - np.eye(M.dimension, dtype=np.int64) * eigenvalue) % M.p
-    ranks = _rank_sequence(N, M.p)
-    part = _partition_from_ranks(M.dimension, ranks)
-    assert part.size == M.dimension
-    return part
 
 
 def _closed_rank(lo: int, hi: int, b: int, c: int, e: int) -> int | None:
@@ -329,7 +204,7 @@ def oracle_lambda(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
     """The Jordan partition of J_r (x) J_s over GF(p), from ranks alone."""
     p = check_rsp(r, s, p)
     _check_cap(r * s, cap)
-    _check_int64(r * s, p)
+    _check_int64(p)
     ranks = _graded_ranks(r, s, p, 1, lambda k, w: [comb(k, t) % p for t in range(w + 1)])
     part = _partition_from_ranks(r * s, ranks)
     assert len(part) == r
@@ -340,7 +215,7 @@ def oracle_nilpotent(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partitio
     """The Jordan partition of N_r (x) N_s over GF(p) (includes the zero eigenvalue blocks)."""
     p = check_rsp(r, s, p)
     _check_cap(r * s, cap)
-    _check_int64(r * s, p)
+    _check_int64(p)
     ranks = _graded_ranks(r, s, p, 2, lambda k, w: [int(t == k) for t in range(w + 1)])
     return _partition_from_ranks(r * s, ranks)
 

@@ -2,17 +2,32 @@
 
 Each one computes by a route the package does not ship: Kummer carry counts
 for binomial valuations, the exact big-integer determinant D_n(r, s), the
-breadth-first closure of a permutation group, and the test of a dihedral block
-action by stabilizer-chain order and membership. Only the input checks, the
-permutation primitives and the stabilizer chain come from the package.
+breadth-first closure of a permutation group, the test of a dihedral block
+action by stabilizer-chain order and membership, and the dense Kronecker
+route to a Jordan partition. Only the input checks, the permutation
+primitives, the stabilizer chain and the pieces named below come from the
+package.
+
+The dense route (`jordan_block`, `MatrixGFp`, `build_tensor`, `_row_echelon`,
+`rank_gfp`, `_rank_sequence`, `jcf_partition_single_eigenvalue`) builds
+J_r (x) J_s (or N_r (x) N_s) literally as an rs x rs matrix and row-reduces
+its nilpotent part and the powers of it mod p. It shares with the graded
+route of `normanform.oracle` the `Partition` type, the dimension cap
+(`DEFAULT_CAP`, `_check_cap`) and `oracle._partition_from_ranks`, which turns
+a rank sequence into block sizes; it shares no rank computation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from normanform.groupengine import DegreeCapExceeded, PermGroup, expected_wreath_order
+from normanform.jordan import Partition
+from normanform.oracle import DEFAULT_CAP, _check_cap, _partition_from_ranks
 from normanform.parith import check_rsp, ensure_prime
 from normanform.perm import Permutation, compose, identity
 
@@ -98,3 +113,133 @@ def generates_dihedral(images: list[Permutation], b: int) -> bool:
     return H.order() == expected_wreath_order(1, b) and all(
         H.contains(Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1))))
         for c in range(b))
+
+
+# -- the dense Kronecker route ------------------------------------------------------
+
+def _check_int64(dimension: int, p: int) -> None:
+    # products of two residues reach (p-1)^2, and an entry of a row-basis product
+    # sums up to d of them, so the dense route needs d * (p-1)^2 < 2^63
+    if dimension * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"dimension {dimension} at p={p} overflows int64: "
+                         f"need dimension * (p-1)^2 < 2^63")
+
+
+@dataclass(frozen=True)
+class MatrixGFp:
+    """A square matrix with entries reduced to [0, p-1]; immutable after construction."""
+
+    p: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", ensure_prime(self.p))
+        arr = np.asarray(self.entries, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        _check_int64(arr.shape[0], self.p)
+        arr = np.mod(arr, self.p)
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dimension(self) -> int:
+        return self.entries.shape[0]
+
+
+def jordan_block(ell: int, diag: int) -> np.ndarray:
+    """ell x ell upper bidiagonal block with constant diagonal and superdiagonal 1s."""
+    if ell < 1:
+        raise ValueError(f"block size must be >= 1, got {ell!r}")
+    block = np.eye(ell, dtype=np.int64) * diag
+    block += np.eye(ell, k=1, dtype=np.int64)
+    return block
+
+
+def build_tensor(r: int, s: int, p: int, kind: str = "unipotent",
+                 cap: int = DEFAULT_CAP) -> MatrixGFp:
+    """Kronecker product of two Jordan blocks of the requested kind over GF(p)."""
+    p = ensure_prime(p)
+    if r < 1 or s < 1:
+        raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
+    if kind not in ("unipotent", "nilpotent"):
+        raise ValueError(f"kind must be 'unipotent' or 'nilpotent', got {kind!r}")
+    _check_cap(r * s, cap)
+    diag = 1 if kind == "unipotent" else 0
+    return MatrixGFp(p, np.kron(jordan_block(r, diag), jordan_block(s, diag)))
+
+
+def _row_echelon(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """In-place row echelon of A mod p; returns (rank, the echelon rows)."""
+    m, n = A.shape
+    rank = 0
+    for col in range(n):
+        if rank == m:
+            break
+        nz = np.nonzero(A[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            A[[rank, pr]] = A[[pr, rank]]
+        pivot = int(A[rank, col])
+        if pivot != 1:
+            A[rank, col:] = A[rank, col:] * pow(pivot, -1, p) % p
+        below = A[rank + 1:, col]
+        hit = np.nonzero(below)[0]
+        if hit.size:
+            rows = rank + 1 + hit
+            A[rows, col:] = (A[rows, col:] - np.outer(below[hit], A[rank, col:])) % p
+        rank += 1
+    return rank, A[:rank]
+
+
+def rank_gfp(M: MatrixGFp) -> int:
+    """Rank over the field of p elements by exact modular elimination."""
+    return _row_echelon(M.entries.copy(), M.p)[0]
+
+
+def _rank_sequence(N: np.ndarray, p: int) -> list[int]:
+    """Ranks of N, N^2, ... down to (and excluding) 0, for nilpotent N over GF(p).
+
+    Works on a shrinking row-space chain: a row basis of N^{k+1} is the echelon
+    form of (row basis of N^k) @ N. Raises ValueError if the rank stops
+    decreasing before reaching 0, which certifies N is not nilpotent.
+    """
+    d = N.shape[0]
+    N = np.mod(N, p)
+    # basis @ N is one shifted column add per nonzero diagonal N[i, i+k]; a column
+    # still sums at most d terms below (p-1)^2, within MatrixGFp's int64 bound
+    rows, cols = np.nonzero(N)
+    diagonals = [(k, np.diagonal(N, k)) for k in np.unique(cols - rows).tolist()]
+    basis = N.copy()
+    ranks: list[int] = []
+    prev = d
+    while True:
+        rank, basis = _row_echelon(basis, p)
+        if rank == 0:
+            return ranks
+        if rank >= prev:
+            raise ValueError("matrix is not nilpotent: rank sequence stalled")
+        ranks.append(rank)
+        prev = rank
+        product = np.zeros_like(basis)
+        for k, diag in diagonals:
+            if k >= 0:
+                product[:, k:] += basis[:, :d - k] * diag
+            else:
+                product[:, :d + k] += basis[:, -k:] * diag
+        basis = product % p
+
+
+def jcf_partition_single_eigenvalue(M: MatrixGFp, eigenvalue: int) -> Partition:
+    """Jordan block sizes of M for its single eigenvalue.
+
+    Requires M - eigenvalue*I nilpotent (verified by the rank chain reaching 0);
+    otherwise raises ValueError.
+    """
+    N = (M.entries - np.eye(M.dimension, dtype=np.int64) * eigenvalue) % M.p
+    ranks = _rank_sequence(N, M.p)
+    part = _partition_from_ranks(M.dimension, ranks)
+    assert part.size == M.dimension
+    return part

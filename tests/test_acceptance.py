@@ -21,7 +21,7 @@ def report(name, detail):
 
 def test_criterion_1_oracle_equivalence():
     cells = 0
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 11, 13):
         for r in range(1, 31):
             for s in range(r, 31):
                 assert nf.oracle_lambda(r, s, p).parts == nf.lambda_of(r, s, p).parts, \
@@ -32,7 +32,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_involution_law():
     cells = 0
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 11, 13):
         for r in range(1, 31):
             for s in range(r, 31):
                 pi = nf.pi_of(r, s, p)

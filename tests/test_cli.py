@@ -116,9 +116,17 @@ def test_oracle_cap_exit_code(capsys):
 
 
 def test_oracle_modulus_overflow_exit_code(capsys):
-    # dimension 12 * (p-1)^2 exceeds int64 at p = 10^10+19
+    # (p-1)^2 exceeds int64 at p = 10^10+19, whatever the dimension
     code, payload = run_json(capsys, "oracle", "--r", "3", "--s", "4", "--p", "10000000019")
     assert code == 2 and payload["error"]["code"] == "invalid-argument"
+
+
+def test_oracle_answers_at_large_prime(capsys):
+    # (p-1)^2 < 2^63 at p = 10^9+7, so the oracle answers at every dimension within its cap
+    code, payload = run_json(capsys, "oracle", "--r", "3", "--s", "4", "--p", "1000000007")
+    assert code == 0
+    _, query = run_json(capsys, "lambda", "--r", "3", "--s", "4", "--p", "1000000007", "--json")
+    assert payload["partition"] == query["lambda"] == [6, 4, 2]
 
 
 def test_norman_cap_env(capsys, monkeypatch):

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import normanform
 from normanform import delta, oracle
 from normanform.jordan import lambda_of
-from normanform.oracle import (DimensionCapExceeded, MatrixGFp, _closed_rank, _graded_ranks,
-                               _rank_profiles, _rank_sequence, _row_echelon, build_tensor,
-                               jcf_partition_single_eigenvalue, nilpotent_mu,
-                               oracle_lambda, oracle_nilpotent, rank_gfp)
-from reference import dn_exact
+from normanform.oracle import (DimensionCapExceeded, _closed_rank, _graded_ranks,
+                               _rank_profiles, nilpotent_mu, oracle_lambda, oracle_nilpotent)
+from reference import (MatrixGFp, _rank_sequence, _row_echelon, build_tensor, dn_exact,
+                       jcf_partition_single_eigenvalue, rank_gfp)
 
 
 def test_build_tensor_examples():
@@ -313,20 +313,21 @@ def test_rank_profiles_match_elimination_of_every_block(stack_p):
                 assert count[b, c] == _row_echelon(block, p)[0], (coef, p, b, c)
 
 
+def nilpotent_closed_form(r, s):
+    """N_r (x) N_s: s-r+1 blocks of size r and two of each size below r, at every p."""
+    return (r,) * (s - r + 1) + tuple(j for j in range(r - 1, 0, -1) for _ in range(2))
+
+
 def test_oracle_nilpotent_needs_no_elimination(monkeypatch):
     # one nonzero offset in every power of xy: the single-diagonal rule ranks each block
     def refuse(*args):
         raise AssertionError("oracle_nilpotent eliminated a matrix")
 
     monkeypatch.setattr(oracle, "_rank_profiles", refuse)
-    monkeypatch.setattr(oracle, "_row_echelon", refuse)
     for p in (2, 3, 5):
         for r in range(1, 17):
             for s in range(r, 17):
-                # N_r (x) N_s: s-r+1 blocks of size r and two of each size below r
-                expected = (r,) * (s - r + 1) + tuple(j for j in range(r - 1, 0, -1)
-                                                      for _ in range(2))
-                assert oracle_nilpotent(r, s, p).parts == expected, (r, s, p)
+                assert oracle_nilpotent(r, s, p).parts == nilpotent_closed_form(r, s), (r, s, p)
 
 
 def test_graded_oracle_never_calls_the_delta_route(monkeypatch):
@@ -358,15 +359,30 @@ def test_split_stack_matches_one_stack(monkeypatch):
 
 
 def test_graded_oracle_at_the_int64_edge():
-    # (3, 3) is the largest cell the int64 bound admits at p = 10^9+7, and
-    # 1012333499 the largest prime it admits at dimension 9
+    # the bound (p-1)^2 < 2^63 holds at any dimension: 3037000493 is the largest prime
+    # it admits and 3037000507 the next prime; up to (64, 64) the binomials C(k, t)
+    # mod p are large residues, so the fraction-free products come near the bound
+    cells = [(r, s) for r in (1, 2, 3, 5, 9, 17, 33, 64)
+             for s in sorted({r, r + 1, 2 * r - 1, 64}) if s <= 64]
+    for p in (10**9 + 7, 3037000493):
+        for r, s in cells:
+            assert oracle_lambda(r, s, p) == lambda_of(r, s, p), (r, s, p)
+            assert oracle_nilpotent(r, s, p).parts == nilpotent_closed_form(r, s), (r, s, p)
+    for graded in (oracle_lambda, oracle_nilpotent):
+        with pytest.raises(ValueError, match="overflows int64"):
+            graded(1, 1, 3037000507)
+    # the dense route keeps its own bound, d * (p-1)^2 < 2^63: (3, 3) is its largest
+    # cell at p = 10^9+7, and 1012333499 its largest prime at dimension 9
     for p in (10**9 + 7, 1012333499):
         for kind, graded in KINDS:
             assert graded(3, 3, p) == dense_partition(3, 3, p, kind), (p, kind)
-    with pytest.raises(ValueError, match="overflows int64"):
-        oracle_lambda(3, 4, 10**9 + 7)
-    with pytest.raises(ValueError, match="overflows int64"):
-        oracle_lambda(3, 3, 1012333519)
+
+
+def test_dense_route_is_not_shipped():
+    # the dense Kronecker route lives in tests/reference.py only
+    for name in ("MatrixGFp", "build_tensor", "rank_gfp", "jcf_partition_single_eigenvalue"):
+        assert name not in normanform.__all__, name
+        assert not hasattr(oracle, name), name
 
 
 def test_graded_oracle_at_the_cap():
