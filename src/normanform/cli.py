@@ -272,7 +272,7 @@ def cmd_table(args) -> int:
     ok = True
     if args.name == "pi3":
         for p in primes:
-            q = p * p if p == 2 else p
+            q = jordan.pi3_modulus(p)
             rows, good = _pi3_rows(p, q)
             ok = ok and good
             blocks.append(f"pi(3,s,p) for p={p} (modulus {q})\n"

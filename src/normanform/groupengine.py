@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .jordan import pi_of
 from .parith import ensure_prime, p_parts, p_power_at_least
-from .perm import Permutation, compose, cycles_of, identity, transposition
+from .perm import Permutation, compose, identity, transposition
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -289,47 +289,13 @@ def _generates_dihedral(images: list[Permutation], b: int) -> bool:
     return gcd(b, *rotations, *(c - reflections[0] for c in reflections)) == 1
 
 
-def _prime_cycle_seed(images: tuple[int, ...], q: int) -> Optional[tuple[int, ...]]:
-    """The q-cycle c of x (q prime) when c is x's only cycle of maximal q-adic
-    valuation, else None. Then x^(L/q), L the order of x, fixes every other
-    cycle pointwise and is a nontrivial power of c, so c lies in <x>."""
-    best, count, seed = 0, 0, None
-    for cycle in cycles_of(images):
-        v, n = 0, len(cycle)
-        while n % q == 0:
-            n //= q
-            v += 1
-        if v > best:
-            best, count, seed = v, 1, cycle
-        elif v == best:
-            count += 1
-    return seed if best and count == 1 and len(seed) == q else None
-
-
-def _short_words(gens: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Products of 1, 2 and 3 generators, shortest first. A word stands for
-    its cyclic rotations, which are conjugates of it, and no generator is
-    next to itself."""
-    def mul(f, g):
-        return tuple(g[m - 1] for m in f)
-
-    yield from gens
-    for i, f in enumerate(gens):
-        for g in gens[i + 1:]:
-            yield mul(f, g)
-    for i, f in enumerate(gens):
-        for j, g in enumerate(gens[i + 1:], start=i + 1):
-            fg = mul(f, g)
-            for k in range(i + 1, len(gens)):
-                if k != j:
-                    yield mul(fg, gens[k])
-
-
 def _joins_blocks(seed: tuple[int, ...], gens: list[tuple[int, ...]], b: int) -> bool:
-    """True iff the supports of the conjugates of the cycle `seed` under
-    <gens> join the points into b components, merged with a union-find and
+    """True iff the conjugates of the transposition `seed` under <gens>, read
+    as edges, join the points into b components, merged with a union-find and
     stopping as soon as they do. With blocks that every generator preserves
-    and a seed inside one block, b components are the b residue blocks."""
+    and a seed inside one block, b components are the b residue blocks, and
+    a connected transposition graph on a block generates its full symmetric
+    group, so then S_a^b <= <gens>."""
     parent = list(range(len(gens[0]) + 1))
 
     def find(x: int) -> int:
@@ -359,35 +325,14 @@ def _joins_blocks(seed: tuple[int, ...], gens: list[tuple[int, ...]], b: int) ->
     return False
 
 
-def _kernel_is_full(gens: list[tuple[int, ...]], b: int,
-                    seed: Optional[tuple[int, ...]]) -> bool:
-    """True iff S_a^b <= <gens> is shown, for generators that preserve the
-    residue blocks. A transposition whose conjugates join every block gives
-    each block its full symmetric group (connected transposition graphs
-    generate S_n). For b = 1 a 3-cycle whose conjugates join all points gives
-    the alternating group, and an odd generator then gives S_a. Without a
-    given seed the first short word with a seed decides: in S_a wr D_b every
-    transposition, and for b = 1 every 3-cycle, has conjugates joining every
-    block."""
-    if seed is None:
-        primes = (2, 3) if b == 1 else (2,)
-        seed = next((c for x in _short_words(gens) for q in primes
-                     if (c := _prime_cycle_seed(x, q))), None)
-        if seed is None:
-            return False
-    if not _joins_blocks(seed, gens, b):
-        return False
-    return len(seed) == 2 or any(sum(len(c) - 1 for c in cycles_of(g)) % 2 for g in gens)
-
-
 def _certify(gens: list[Permutation], a: int, b: int,
-             seed: Optional[tuple[int, ...]] = None) -> tuple[bool, bool, Optional[int]]:
+             seed: Optional[tuple[int, ...]]) -> tuple[bool, bool, Optional[int]]:
     """Structural certificate for <gens> = S_a wr D_b on ab points.
 
     Returns (every generator preserves the residue blocks, their block
     permutations generate D_b, the proved order or None). `seed` is a
-    transposition known to lie in <gens>; without one it is sought among
-    short words in the generators.
+    transposition known to lie in <gens> inside one residue block, or None
+    when there is none; for a > 1 the order needs one.
     """
     images = [_block_images(g.images, b) for g in gens]
     if None in images:
@@ -395,7 +340,7 @@ def _certify(gens: list[Permutation], a: int, b: int,
     images = [Permutation(image) for image in dict.fromkeys(images)]
     if not _generates_dihedral(images, b):
         return True, False, None
-    if a > 1 and not _kernel_is_full([g.images for g in gens], b, seed):
+    if a > 1 and (seed is None or not _joins_blocks(seed, [g.images for g in gens], b)):
         return True, True, None
     return True, True, expected_wreath_order(a, b)
 
@@ -407,14 +352,13 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     generator; the induced block action generating exactly the dihedral group;
     containment of the diagonal copies of a transposition and an a-cycle
     (for a > 1); and the four-fold product recovering the transposition
-    (1, b+1) (for a > 1 and b > 1). Skipped checks report True.
+    (1, b+1) (for a > 1). Skipped checks report True.
 
     Order and membership come from a certificate. Block-preserving generators
     put the kernel of the block action inside S_a^b, and a closed-form test
-    shows that their block permutations generate D_b. Then a transposition,
-    the product (1, b+1) when b > 1, whose conjugates join every residue
-    block shows that the kernel is all of S_a^b (for b = 1, a 3-cycle and an
-    odd generator will do). So |G| = (a!)^b * |D_b|, and a block-preserving
+    shows that their block permutations generate D_b. Then the product
+    (1, b+1), whose conjugates join every residue block, shows that the
+    kernel is all of S_a^b. So |G| = (a!)^b * |D_b|, and a block-preserving
     permutation lies in G iff its block permutation lies in D_b. When the
     certificate is not found, a Schreier-Sims chain on the same generators
     decides both; `route` says which answered.
@@ -426,15 +370,16 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     period = _one_period(r, p)
     gens = _distinct_nontrivial(period)
 
-    seed, l9_ok = None, True
-    if a > 1 and b > 1:
-        # pi(r, p^m + k, p) sits at index p^m + k - r of the period
+    l9_ok = True
+    if a > 1:
+        # pi(r, s, p) depends on s mod p^m only, so pi_k sits at index (k - r) mod p^m.
+        # For b = 1 the residue forms give Rev(2,r) Rev(1,r) Rev(2,r) Rev(3,r) = (1, 2)
+        # for r >= 3, and id (1,2) id id for r = 2.
         pm = p_power_at_least(r, p)[1]
-        pi_k = {k: period[pm + k - r] for k in (0, 1, b, b + 1)}
+        pi_k = {k: period[(k - r) % pm] for k in (0, 1, b, b + 1)}
         product = compose(compose(compose(pi_k[1], pi_k[0]), pi_k[b]), pi_k[b + 1])
         l9_ok = product == transposition(1, b + 1, r)
-        if l9_ok:
-            seed = (1, b + 1)
+    seed = (1, b + 1) if a > 1 and l9_ok else None
     blocks_invariant, phi_ok, order = _certify(gens, a, b, seed)
 
     if a > 1:

@@ -131,9 +131,14 @@ def pi_fast_path(r: int, s: int, p: int) -> Optional[FastPathResult]:
     return _fast(r, s, p, allow_mirror=True)
 
 
+def pi3_modulus(p: int) -> int:
+    """The period in s of pi(3, s, p): p^2 for p = 2, else p."""
+    return p * p if p == 2 else p
+
+
 def _pi3(s: int, p: int) -> Permutation:
-    """pi(3, s, p) from the small-r table; modulus p^2 for p = 2, else p."""
-    q = p * p if p == 2 else p
+    """pi(3, s, p) from the small-r table, read at s mod pi3_modulus(p)."""
+    q = pi3_modulus(p)
     x = s % q
     if x == 0:
         return rev(1, 3, 3)

@@ -215,7 +215,6 @@ def oracle_nilpotent(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partitio
     """The Jordan partition of N_r (x) N_s over GF(p) (includes the zero eigenvalue blocks)."""
     p = check_rsp(r, s, p)
     _check_cap(r * s, cap)
-    _check_int64(p)
     ranks = _graded_ranks(r, s, p, 2, lambda k, w: [int(t == k) for t in range(w + 1)])
     return _partition_from_ranks(r * s, ranks)
 

@@ -121,6 +121,13 @@ def test_oracle_modulus_overflow_exit_code(capsys):
     assert code == 2 and payload["error"]["code"] == "invalid-argument"
 
 
+def test_oracle_nilpotent_answers_past_the_int64_bound(capsys):
+    # the int64 bound guards the unipotent elimination; the nilpotent oracle eliminates nothing
+    code, payload = run_json(capsys, "oracle", "--kind", "nilpotent", "--r", "1", "--s", "1",
+                             "--p", "3037000507")
+    assert code == 0 and payload["partition"] == [1]
+
+
 def test_oracle_answers_at_large_prime(capsys):
     # (p-1)^2 < 2^63 at p = 10^9+7, so the oracle answers at every dimension within its cap
     code, payload = run_json(capsys, "oracle", "--r", "3", "--s", "4", "--p", "1000000007")
@@ -297,7 +304,7 @@ def test_byte_identical_reruns(capsys):
 def test_oracle_cli_golden(capsys):
     # tests/golden/oracle_cli.jsonl holds one line per invocation, recorded from
     # the dense Kronecker oracle: r <= s <= 8 at p in {2, 3} for both kinds, a
-    # swapped pair, and the cap and int64 rejections
+    # swapped pair, the cap rejections and the int64 rejection of the unipotent kind
     golden = (GOLDEN / "oracle_cli.jsonl").read_bytes()
     out = b""
     for line in golden.decode().splitlines():

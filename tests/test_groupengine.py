@@ -187,9 +187,12 @@ def test_verify_wreath_r_one_convention():
 
 
 def test_l9_product_is_transposition():
-    # pi_1 pi_0 pi_b pi_{b+1} = (1, b+1) whenever a > 1 and b > 1
-    for (r, p) in [(6, 3), (12, 2), (10, 5), (12, 3)]:
-        b = verify_wreath(r, p).b
+    # pi_1 pi_0 pi_b pi_{b+1} = (1, b+1) whenever a > 1, for b > 1 and for b = 1
+    # (the last four cells, r = 2 among them)
+    for (r, p) in [(6, 3), (12, 2), (10, 5), (12, 3), (2, 3), (5, 2), (7, 3), (14, 11)]:
+        rep = verify_wreath(r, p)
+        assert rep.a > 1 and rep.l9_transposition_found, (r, p)
+        b = rep.b
         pm = p_power_at_least(r, p)[1]
         pi = {k: pi_of(r, pm + k, p) for k in (0, 1, b, b + 1)}
         product = compose(compose(compose(pi[1], pi[0]), pi[b]), pi[b + 1])
@@ -243,19 +246,25 @@ def block_preserving_sets(draw):
 @given(block_preserving_sets())
 def test_certified_order_equals_chain_order(case):
     a, b, gens = case
-    blocks_invariant, _, order = _certify(gens, a, b)
+    seed = None
+    if a > 1:
+        # a transposition inside block 1, put in the group so that it can seed
+        gens = gens + [transposition(1, b + 1, a * b)]
+        assert _certify(gens, a, b, None)[2] is None
+        seed = (1, b + 1)
+    blocks_invariant, _, order = _certify(gens, a, b, seed)
     assert blocks_invariant
     if order is not None:
         assert order == PermGroup(gens, a * b).order() == expected_wreath_order(a, b)
 
 
 def test_certificate_misses_alternating_group():
-    # A_5, b = 1: no transposition; the 3-cycles join all points, but no generator is odd
+    # A_5, b = 1: no transposition to seed the certificate
     gens = [Permutation((2, 3, 1, 4, 5)), Permutation((2, 3, 4, 5, 1))]
     assert PermGroup(gens, 5).order() == 60
-    assert _certify(gens, 5, 1) == (True, True, None)
+    assert _certify(gens, 5, 1, None) == (True, True, None)
     gens.append(transposition(1, 2, 5))
-    assert _certify(gens, 5, 1) == (True, True, 120)
+    assert _certify(gens, 5, 1, (1, 2)) == (True, True, 120)
 
 
 def test_certificate_misses_partial_transposition_graph():
@@ -263,15 +272,14 @@ def test_certificate_misses_partial_transposition_graph():
     swap = Permutation((2, 1, 4, 3, 6, 5))
     gens = [transposition(1, 3, 6), swap]
     assert PermGroup(gens, 6).order() == 8
-    assert _certify(gens, 3, 2) == (True, True, None)
     assert _certify(gens, 3, 2, (1, 3)) == (True, True, None)
     gens.append(Permutation((3, 2, 5, 4, 1, 6)))
-    assert _certify(gens, 3, 2) == (True, True, expected_wreath_order(3, 2))
+    assert _certify(gens, 3, 2, (1, 3)) == (True, True, expected_wreath_order(3, 2))
 
 
 def test_certificate_misses_block_breaker():
     gens = [transposition(1, 2, 4), Permutation((3, 4, 1, 2))]
-    assert _certify(gens, 2, 2) == (False, False, None)
+    assert _certify(gens, 2, 2, None) == (False, False, None)
 
 
 def test_verify_wreath_falls_back_to_chain(monkeypatch):
@@ -284,8 +292,8 @@ def test_verify_wreath_falls_back_to_chain(monkeypatch):
 
 
 def test_certificate_alone_for_r25_to_r64(monkeypatch):
-    """Every cell 25 <= r <= 64, p in {2,3,5,7} is certified with the expected
-    order; a cell that would need the chain fails here."""
+    """Every cell 25 <= r <= 64, p in {2,3,5,7,11,13} is certified with the
+    expected order; a cell that would need the chain fails here."""
     class ChainNeeded(Exception):
         pass
 
@@ -294,7 +302,7 @@ def test_certificate_alone_for_r25_to_r64(monkeypatch):
 
     monkeypatch.setattr(groupengine, "PermGroup", refuse)
     misses = set()
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 11, 13):
         for r in range(25, 65):
             try:
                 rep = verify_wreath(r, p)
@@ -311,3 +319,11 @@ def test_verify_wreath_r60_is_fast():
     rep = verify_wreath(60, 2)
     assert time.perf_counter() - start < 1.0
     assert rep.verdict and rep.route == "certificate"
+
+
+def test_verify_wreath_b1_is_fast():
+    # b = 1, a = 126: the four-fold product seeds the certificate
+    start = time.perf_counter()
+    rep = verify_wreath(126, 5, cap=126)
+    assert time.perf_counter() - start < 1.0
+    assert rep.b == 1 and rep.verdict and rep.route == "certificate"
