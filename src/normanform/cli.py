@@ -218,8 +218,8 @@ def cmd_corr(args) -> int:
 
 
 def _pi3_rows(p: int, q: int) -> tuple[list[tuple[str, str, str]], bool]:
-    """Rows (class, value, status) of the small-r table for one prime and its modulus q;
-    computed, then compared against the closed-form lane."""
+    """Rows (class, value, status) of the small-r table for one prime and its modulus q:
+    the delta route at three s per residue, compared against jordan.pi3_value."""
     rows = []
     ok = True
     classes = [("0", [0]), ("1", [1]), ("-1", [q - 1]), ("otherwise", range(2, q - 1))]
@@ -227,13 +227,9 @@ def _pi3_rows(p: int, q: int) -> tuple[list[tuple[str, str, str]], bool]:
         if not residues:
             rows.append((label, "()", "vacuous"))
             continue
-        values = set()
-        expected = set()
-        for x in residues:
-            s0 = x if x >= 3 else x + q
-            for s in (s0, s0 + q, s0 + 2 * q):
-                values.add(jordan.pi_of(3, s, p))
-            expected.add(jordan.pi_fast_path(3, s0, p).perm)
+        starts = [x if x >= 3 else x + q for x in residues]
+        values = {jordan.pi_of(3, s, p) for s0 in starts for s in (s0, s0 + q, s0 + 2 * q)}
+        expected = {jordan.pi3_value(x, p) for x in residues}
         if len(values) == 1 and values == expected:
             rows.append((label, format_cycles(values.pop()), "ok"))
         else:
@@ -248,9 +244,12 @@ def _small_s_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str, str]], b
     rows = []
     all_ok = True
     for case, form in jordan.SMALL_RESIDUES.items():
+        if rmax < form.rmin:
+            rows.append((str(case), form.formula, "()", "vacuous"))
+            continue
         failures = [r for r in range(form.rmin, rmax + 1)
                     if jordan.pi_of(r, p_power_at_least(r, p)[1] + case, p)
-                    != form.value(r, p).perm]
+                    != form.value(r, p)]
         status = "ok" if not failures else "FAIL(r=" + ",".join(map(str, failures)) + ")"
         all_ok = all_ok and not failures
         rows.append((str(case), form.formula, f"{form.rmin}..{rmax}", status))
@@ -318,8 +317,6 @@ def _cell_involution(r, s, p, caps):
 
 def _cell_fast_path(r, s, p, caps):
     hit = jordan.pi_fast_path(r, s, p)
-    if hit is None:
-        return True, "absent"
     return hit.perm == jordan.pi_of(r, s, p), hit.rule
 
 
@@ -371,6 +368,8 @@ def cmd_sweep(args) -> int:
         smax = args.smax if args.smax in (None, "period") else int(args.smax)
     except ValueError as exc:
         raise UsageError(f"--smax expects an integer or 'period', got {args.smax!r}") from exc
+    if isinstance(smax, int) and smax < 1:
+        raise UsageError(f"--smax must be >= 1, got {smax}")
     rmax, primes = _grid(args)
     checks = [c.strip() for c in args.checks.split(",")]
     for c in checks:

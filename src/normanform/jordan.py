@@ -1,19 +1,31 @@
 """The central computations: the Jordan partition lambda(r, s, p) of a tensor
 product of unipotent Jordan blocks, its Norman permutation pi(r, s, p), and the
-deviation vector, all via the delta route; plus a dispatcher of closed-form
-fast-path identities usable as independent evaluators.
+deviation vector, all via the delta route; plus a fast path, pi_fast_path, that
+reads pi off a base-p recursion for lambda with no Legendre sums.
+
+The recursion, for r <= s, with lambda(r, s) = lambda(s, r) and q the least
+p-power >= r; the first step that applies is taken:
+- staircase, r <= 1 or r + s - 1 <= p: lambda_n = r + s + 1 - 2n (so lambda(0, s)
+  is empty). It precedes digits, which would call itself at q = p.
+- period, s = aq + b >= q: aq plus each part of lambda(r, b), padded with parts aq
+  up to r parts (Glasby, Praeger and Xia, J. Algebra 2016).
+- mirror, s < q < r + s, b = q - s: r - b parts q, and q - c for each c in lambda(b, r).
+- digits, r + s <= q, Q = q/p, r = r0 Q + r1, s = s0 Q + s1 (0 <= r1, s1 < Q), in
+  the manner of Renaud (J. Algebra 1979): (m - 1)Q + c for m in lambda(r0+1, s0+1),
+  c in lambda(r1, s1); (m + 1)Q - c for m in lambda(r0, s0), c in lambda(Q-r1, Q-s1);
+  and |s1 - r1| copies of mQ for m in lambda(r0, s0+1) if r1 < s1, else lambda(r0+1, s0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import corr
 from .corr import DeviationVector, SubsetProfile
 from .delta import DeltaProfile, delta_profile
-from .parith import check_rsp, p_adic_valuation, p_power_at_least
-from .perm import Permutation, compose, conjugate, embed, identity, rev, transposition
+from .parith import check_rsp, p_power_at_least
+from .perm import Permutation, compose, embed, identity, rev, transposition
 
 
 @dataclass(frozen=True)
@@ -115,20 +127,43 @@ def jordan_result(r: int, s: int, p: int) -> JordanResult:
 
 @dataclass(frozen=True)
 class FastPathResult:
-    """A fast-path value and the identity chain that produced it."""
+    """A fast-path value and the top step of the lambda recursion that produced it."""
 
     perm: Permutation
     rule: str
 
 
-def pi_fast_path(r: int, s: int, p: int) -> Optional[FastPathResult]:
-    """Evaluate pi(r, s, p) by closed-form identities alone, if any applies.
-
-    Returns None when no identity chain resolves; the delta route is never
-    consulted, so a returned value is an independent check of pi_of.
-    """
+def pi_fast_path(r: int, s: int, p: int) -> FastPathResult:
+    """pi(r, s, p) as n -> r + 1 - n + s - lambda_n, with lambda from the base-p
+    recursion of the module docstring; the delta route is never consulted, so the
+    value is an independent check of pi_of."""
     p = check_rsp(r, s, p)
-    return _fast(r, s, p, allow_mirror=True)
+    rule, parts = _lam(r, s, p)
+    images = (r + 1 - n + s - part for n, part in enumerate(sorted(parts, reverse=True), 1))
+    return FastPathResult(Permutation(tuple(images)), rule)
+
+
+def _lam(r: int, s: int, p: int) -> tuple[str, list[int]]:
+    """The step taken for lambda(min(r, s), max(r, s), p), and its parts in no order."""
+    r, s = min(r, s), max(r, s)
+    if r <= 1 or r + s - 1 <= p:
+        return "staircase", [r + s + 1 - 2 * n for n in range(1, r + 1)]
+    q = p_power_at_least(r, p)[1]
+    if s >= q:
+        a, b = divmod(s, q)
+        inner = [a * q + c for c in _lam(r, b, p)[1]]
+        return "period", inner + [a * q] * (r - len(inner))
+    if r + s > q:
+        b = q - s
+        return "mirror", [q] * (r - b) + [q - c for c in _lam(b, r, p)[1]]
+    Q = q // p
+    r0, r1 = divmod(r, Q)
+    s0, s1 = divmod(s, Q)
+    low, high = _lam(r1, s1, p)[1], _lam(Q - r1, Q - s1, p)[1]
+    out = [(m - 1) * Q + c for m in _lam(r0 + 1, s0 + 1, p)[1] for c in low]
+    out += [(m + 1) * Q - c for m in _lam(r0, s0, p)[1] for c in high]
+    middle = _lam(r0, s0 + 1, p)[1] if r1 < s1 else _lam(r0 + 1, s0, p)[1]
+    return "digits", out + [m * Q for m in middle for _ in range(abs(s1 - r1))]
 
 
 def pi3_modulus(p: int) -> int:
@@ -136,7 +171,7 @@ def pi3_modulus(p: int) -> int:
     return p * p if p == 2 else p
 
 
-def _pi3(s: int, p: int) -> Permutation:
+def pi3_value(s: int, p: int) -> Permutation:
     """pi(3, s, p) from the small-r table, read at s mod pi3_modulus(p)."""
     q = pi3_modulus(p)
     x = s % q
@@ -154,89 +189,16 @@ class SmallResidueForm(NamedTuple):
 
     formula: str  # as `table --name small-s` prints it
     rmin: int
-    value: Callable[[int, int], FastPathResult]  # (r, p) -> value and its rule
+    value: Callable[[int, int], Permutation]  # (r, p) -> pi(r, p^m + residue, p)
 
 
-# The closed forms at the residues 0..3: the fast path dispatches on this table
-# and `table --name small-s` checks it against the delta route.
+# The closed forms at the residues 0..3, which `table --name small-s` checks
+# against the delta route.
 SMALL_RESIDUES = {
-    0: SmallResidueForm("Rev(1,r)", 1, lambda r, p: FastPathResult(rev(1, r, r), "residue-0")),
-    1: SmallResidueForm("Rev(2,r)", 2, lambda r, p: FastPathResult(rev(2, r, r), "residue-1")),
+    0: SmallResidueForm("Rev(1,r)", 1, lambda r, p: rev(1, r, r)),
+    1: SmallResidueForm("Rev(2,r)", 2, lambda r, p: rev(2, r, r)),
     2: SmallResidueForm("(1,2)Rev(3,r) if p|r else Rev(3,r)", 3, lambda r, p: (
-        FastPathResult(rev(3, r, r), "residue-2") if r % p else
-        FastPathResult(compose(transposition(1, 2, r), rev(3, r, r)), "residue-2-pdivr"))),
-    3: SmallResidueForm("pi(3,r,p)Rev(4,r)", 4, lambda r, p: FastPathResult(
-        compose(embed(_pi3(r, p), r), rev(4, r, r)), "residue-3")),
+        rev(3, r, r) if r % p else compose(transposition(1, 2, r), rev(3, r, r)))),
+    3: SmallResidueForm("pi(3,r,p)Rev(4,r)", 4, lambda r, p: compose(
+        embed(pi3_value(r, p), r), rev(4, r, r))),
 }
-
-
-def _fast(r: int, s: int, p: int, allow_mirror: bool) -> Optional[FastPathResult]:
-    # Small r: closed values.
-    if r == 1:
-        return FastPathResult(identity(1), "r=1")
-    if r == 2:
-        value = transposition(1, 2, 2) if s % p == 0 else identity(2)
-        return FastPathResult(value, "r=2")
-    if r == 3:
-        return FastPathResult(_pi3(s, p), "r=3-table")
-
-    # Characteristic inside the staircase window: one long reversal.
-    if s <= p <= r + s - 2:
-        return FastPathResult(rev(1, r + s - p, r), "char-window")
-
-    pm = p_power_at_least(r, p)[1]
-    sigma = s % pm  # periodicity: pi depends on s only through this residue
-
-    # Small residues 0..3.
-    if sigma in SMALL_RESIDUES:
-        return SMALL_RESIDUES[sigma].value(r, p)
-
-    # Residues b, 2b, b+1 above p^m for r with nontrivial p-part b.
-    b = p ** p_adic_valuation(r, p)
-    if 1 < b < r:
-        if sigma == b:
-            return FastPathResult(compose(rev(1, b, r), rev(b + 1, r, r)), "residue-b")
-        if sigma == 2 * b and 2 * b < r:
-            value = compose(compose(rev(1, b, r), rev(b + 1, 2 * b, r)), rev(2 * b + 1, r, r))
-            return FastPathResult(value, "residue-2b")
-        if sigma == b + 1:
-            return FastPathResult(compose(rev(2, b, r), rev(b + 2, r, r)), "residue-b+1")
-
-    # Reduction to a smaller first argument when the residue is below r.
-    if 1 <= sigma < r and r < pm:
-        inner = _fast(sigma, r, p, allow_mirror)
-        if inner is not None:
-            value = compose(embed(inner.perm, r), rev(sigma + 1, r, r))
-            return FastPathResult(value, f"small-s({inner.rule})")
-
-    # Mirrored reduction: residue just below a multiple of p^m.
-    if r < pm and pm - r < sigma <= pm - 1:
-        s1 = pm - sigma
-        inner = _fast(s1, r, p, allow_mirror)
-        if inner is not None:
-            value = compose(rev(1, r - s1, r), conjugate(embed(inner.perm, r), rev(1, r, r)))
-            return FastPathResult(value, f"mirror-small-s({inner.rule})")
-
-    # p-power scaling: strip a common p-power from both arguments.
-    ell = min(p_adic_valuation(r, p), p_adic_valuation(s, p))
-    if ell >= 1:
-        q = p**ell
-        inner = _fast(r // q, s // q, p, allow_mirror)
-        if inner is not None:
-            cuts = corr.reversal_cuts(inner.perm)
-            value = identity(r)
-            for lo, hi in zip(cuts, cuts[1:]):
-                value = compose(value, rev(q * lo + 1, q * hi, r))
-            return FastPathResult(value, f"p-power-scaling({inner.rule})")
-
-    # Duality: conjugate the value at the negated residue by the full reversal.
-    if allow_mirror and sigma != 0:
-        s_partner = pm - sigma
-        while s_partner < r:
-            s_partner += pm
-        inner = _fast(r, s_partner, p, allow_mirror=False)
-        if inner is not None:
-            value = conjugate(inner.perm, rev(1, r, r))
-            return FastPathResult(value, f"duality({inner.rule})")
-
-    return None

@@ -198,6 +198,33 @@ def test_table_small_s(capsys):
     assert code == 0 and "FAIL" not in out
 
 
+def test_table_small_s_empty_range_is_vacuous(capsys):
+    # residue 3 starts at r = 4, so rmax = 3 leaves it no r to check
+    code, out = run(capsys, "table", "--name", "small-s", "--primes", "3", "--rmax", "3")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [(row[0], row[-2], row[-1]) for row in rows] == [
+        ("0", "1..3", "ok"), ("1", "2..3", "ok"), ("2", "3..3", "ok"), ("3", "()", "vacuous")]
+
+
+def test_sweep_rejects_smax_below_one(capsys):
+    for smax in ("0", "-5"):
+        code, payload = run_json(capsys, "sweep", "--checks", "fast-path", "--rmax", "3",
+                                 "--smax", smax)
+        assert code == 2 and payload["error"]["code"] == "usage", smax
+    code, out = run(capsys, "sweep", "--checks", "fast-path", "--rmax", "1", "--smax", "1",
+                    "--primes", "2")
+    assert code == 0 and out == "fast-path: 1/1 passed\n"
+
+
+def test_sweep_fast_path_answers_every_cell(capsys):
+    code, out = run(capsys, "sweep", "--checks", "fast-path", "--rmax", "12", "--smax",
+                    "period", "--primes", "2,3,5,7,11,13", "--format", "csv")
+    assert code == 0
+    details = {line.split(",")[5] for line in out.splitlines()[1:]}
+    assert details == {"staircase", "period", "mirror", "digits"}
+
+
 def test_sweep_csv(capsys):
     code, out = run(capsys, "sweep", "--checks", "involution,bijection-roundtrip",
                     "--rmax", "5", "--primes", "2,3", "--format", "csv")

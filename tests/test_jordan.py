@@ -1,6 +1,9 @@
-import pytest
+import sys
 
-from normanform import parith, standardness
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from normanform import delta, parith, standardness
 from normanform.corr import reversal_cuts, subset_to_perm, SubsetProfile
 from normanform.jordan import (Partition, deviation, jordan_result, lambda_of,
                                pi_fast_path, pi_of)
@@ -92,15 +95,46 @@ def test_fast_path_examples():
 
 
 def test_fast_path_agrees_with_delta_route():
-    fired = 0
-    for p in (2, 3, 5, 7):
+    # every cell of one period r <= s <= r + p^m, plus two more, answers
+    for p in (2, 3, 5, 7, 11, 13):
         for r in range(1, 41):
-            for s in range(r, 41):
+            pm = p_power_at_least(r, p)[1]
+            for s in range(r, r + pm + 3):
                 hit = pi_fast_path(r, s, p)
-                if hit is not None:
-                    fired += 1
-                    assert hit.perm == pi_of(r, s, p), (r, s, p, hit.rule)
-    assert fired > 1000
+                assert hit.perm == pi_of(r, s, p), (r, s, p, hit.rule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 10**12),
+       st.sampled_from((2, 3, 5, 7, 11, 13, 1000003, 10**9 + 7)))
+def test_fast_path_matches_pi_of_random(r, ds, p):
+    s = min(r + ds, 10**12)
+    assert pi_fast_path(r, s, p).perm == pi_of(r, s, p), (r, s, p)
+
+
+def test_fast_path_rules_name_the_top_step():
+    assert pi_fast_path(3, 4, 7).rule == "staircase"
+    assert pi_fast_path(1, 10**12, 2).rule == "staircase"
+    assert pi_fast_path(5, 12, 3).rule == "period"
+    assert pi_fast_path(6, 8, 3).rule == "mirror"
+    assert pi_fast_path(4, 5, 3).rule == "digits"
+
+
+def test_fast_path_never_calls_the_delta_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fast path called the delta route")
+
+    # every module that bound delta_profile by name, delta itself included
+    original = delta.delta_profile
+    expected = {(r, s, p): pi_of(r, s, p)
+                for p in (2, 3, 5, 7) for r in range(1, 13) for s in range(r, 30)}
+    for module in list(sys.modules.values()):
+        if getattr(module, "delta_profile", None) is original:
+            monkeypatch.setattr(module, "delta_profile", refuse)
+    with pytest.raises(AssertionError):
+        pi_of(3, 4, 2)
+    for (r, s, p), pi in expected.items():
+        assert pi_fast_path(r, s, p).perm == pi, (r, s, p)
 
 
 def test_periodicity():
