@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from . import groupengine as ge
 from . import jordan, oracle, standardness
 from .delta import delta_profile
 from .parith import ensure_prime, p_parts, p_power_at_least
-from .perm import compose, format_cycles, parse_cycles
+from .perm import format_cycles, parse_cycles
 
 
 class UsageError(ValueError):
@@ -43,23 +44,20 @@ def _caps(args) -> tuple[int, int]:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    text = text if text.endswith("\n") else text + "\n"
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        except OSError as exc:
+            args.out = None  # the usage error goes to stdout instead
+            raise UsageError(f"cannot write --out: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, separators=(", ", ": ")))
-
-
-def _swap_rs(args) -> tuple[int, int, bool]:
-    r, s = args.r, args.s
-    if r > s:
-        return s, r, True
-    return r, s, False
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -79,85 +77,68 @@ def _grid(args) -> tuple[int, tuple[int, ...]]:
     return args.rmax, primes
 
 
-# -- single-query commands ----------------------------------------------------
+# -- single-cell commands -----------------------------------------------------
 
 
-def cmd_query(args) -> int:
-    """`lambda` and `pi`: the same JSON payload; the text line is lambda or pi."""
-    r, s, swapped = _swap_rs(args)
-    res = jordan.jordan_result(r, s, args.p)
-    if args.json:
-        _emit_json(args, {
-            "r": r, "s": s, "p": args.p,
-            "lambda": list(res.lam.parts),
-            "pi": format_cycles(res.pi),
-            "epsilon": list(res.epsilon.entries),
-            "method": res.method,
-            "swapped": swapped,
-        })
-    elif args.command == "lambda":
-        _emit(args, " ".join(str(v) for v in res.lam.parts))
-    else:
-        _emit(args, format_cycles(res.pi))
-    return 0
+def _cell_query(r, s, p, args):
+    res = jordan.jordan_result(r, s, p)
+    pi = format_cycles(res.pi)
+    return ({"lambda": list(res.lam.parts), "pi": pi,
+             "epsilon": list(res.epsilon.entries), "method": res.method},
+            " ".join(map(str, res.lam.parts)) if args.command == "lambda" else pi)
 
 
-def cmd_standard(args) -> int:
-    r, s, swapped = _swap_rs(args)
-    equiv = standardness.equivalence_report(r, s, args.p)
+def _cell_standard(r, s, p, args):
+    equiv = standardness.equivalence_report(r, s, p)
     report = equiv.triple
-    payload = {
-        "r": r, "s": s, "p": args.p, "m": report.m,
-        "matched_row": report.matched_row,
-        "verdict": report.verdict,
-        "conditions": equiv.conditions(),
-        "swapped": swapped,
-    }
-    if args.json:
-        _emit_json(args, payload)
-    else:
-        row = "none" if report.matched_row is None else str(report.matched_row)
-        _emit(args, f"standard={str(report.verdict).lower()} row={row}")
-    return 0
+    row = "none" if report.matched_row is None else str(report.matched_row)
+    return ({"m": report.m, "matched_row": report.matched_row, "verdict": report.verdict,
+             "conditions": equiv.conditions()},
+            f"standard={str(report.verdict).lower()} row={row}")
 
 
-def cmd_delta(args) -> int:
-    r, s, swapped = _swap_rs(args)
-    prof = delta_profile(r, s, args.p)
-    payload = {
-        "r": r, "s": s, "p": args.p,
-        "delta": list(prof.delta), "L": list(prof.L), "R": list(prof.R),
-    }
-    if swapped:
-        payload["swapped"] = True
-    _emit_json(args, payload)
-    return 0
+def _cell_delta(r, s, p, args):
+    prof = delta_profile(r, s, p)
+    return {"delta": list(prof.delta), "L": list(prof.L), "R": list(prof.R)}, None
 
 
-def cmd_oracle(args) -> int:
-    r, s, swapped = _swap_rs(args)
-    matrix_cap, _ = _caps(args)
-    if args.kind == "unipotent":
-        part = oracle.oracle_lambda(r, s, args.p, cap=matrix_cap)
-    else:
-        part = oracle.oracle_nilpotent(r, s, args.p, cap=matrix_cap)
-    _emit_json(args, {
-        "r": r, "s": s, "p": args.p, "kind": args.kind,
-        "partition": list(part.parts),
-        "swapped": swapped,
-    })
-    return 0
+def _cell_oracle(r, s, p, args):
+    route = oracle.oracle_lambda if args.kind == "unipotent" else oracle.oracle_nilpotent
+    part = route(r, s, p, cap=_caps(args)[0])
+    return {"kind": args.kind, "partition": list(part.parts)}, None
 
 
-def cmd_green(args) -> int:
-    r, s, swapped = _swap_rs(args)
-    dec = green_mod.decompose(r, s, args.p)
-    payload = {
-        "r": r, "s": s, "p": args.p,
-        "summands": [{"dim": d, "mult": m} for d, m in dec.summands],
-    }
-    if swapped:
-        payload["swapped"] = True
+def _cell_green(r, s, p, args):
+    dec = green_mod.decompose(r, s, p)
+    return {"summands": [{"dim": d, "mult": m} for d, m in dec.summands]}, None
+
+
+# name -> (help, cell, has_text). cell(r, s, p, args), with r <= s, returns the payload
+# fields after r, s, p and the text line, or None for the JSON-only commands
+# (has_text False); the others print the line unless --json is given.
+_CELLS = {
+    "lambda": ("Jordan partition of J_r (x) J_s over GF(p)", _cell_query, True),
+    "pi": ("the Norman permutation in cycle notation", _cell_query, True),
+    "standard": ("standardness of the triple (r, s, p)", _cell_standard, True),
+    "delta": ("delta bits and L/R gap functions", _cell_delta, False),
+    "oracle": ("brute-force Jordan partition from matrix ranks", _cell_oracle, False),
+    "green": ("tensor decomposition as dimension multiset", _cell_green, False),
+}
+# these payloads carry "swapped" only when it is true; the others always carry it
+_SWAPPED_ONLY_WHEN_TRUE = ("delta", "green")
+
+
+def cmd_cell(args) -> int:
+    """One cell (r, s, p): r > s is swapped, since the tensor product is symmetric."""
+    swapped = args.r > args.s
+    r, s = (args.s, args.r) if swapped else (args.r, args.s)
+    fields, text = _CELLS[args.command][1](r, s, args.p, args)
+    if text is not None and not args.json:
+        _emit(args, text)
+        return 0
+    payload = {"r": r, "s": s, "p": args.p, **fields}
+    if swapped or args.command not in _SWAPPED_ONLY_WHEN_TRUE:
+        payload["swapped"] = swapped
     _emit_json(args, payload)
     return 0
 
@@ -174,17 +155,9 @@ def cmd_group(args) -> int:
                           "blocks": [list(block) for block in ge.residue_blocks(args.r, b)]})
         return 0
     report = ge.verify_wreath(args.r, args.p, cap=degree_cap)
-    _emit_json(args, {
-        "r": report.r, "p": report.p, "a": report.a, "b": report.b,
-        "generator_count": report.generator_count,
-        "order": report.order,
-        "expected_order": report.expected_order,
-        "blocks_invariant": report.blocks_invariant,
-        "phi_image_is_dihedral": report.phi_image_is_dihedral,
-        "diagonal_contained": report.diagonal_contained,
-        "l9_transposition_found": report.l9_transposition_found,
-        "verdict": report.verdict,
-    })
+    payload = dataclasses.asdict(report)
+    del payload["route"]
+    _emit_json(args, {**payload, "verdict": report.verdict})
     return 0 if report.verdict else 1
 
 
@@ -217,9 +190,10 @@ def cmd_corr(args) -> int:
 # -- table reproduction -------------------------------------------------------
 
 
-def _pi3_rows(p: int, q: int) -> tuple[list[tuple[str, str, str]], bool]:
-    """Rows (class, value, status) of the small-r table for one prime and its modulus q:
-    the delta route at three s per residue, compared against jordan.pi3_value."""
+def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
+    """Rows (class, value, status) of the small-r table for one prime, over one period q
+    in s: the delta route at three s per residue, compared against jordan.pi3_value."""
+    q = p_power_at_least(3, p)[1]
     rows = []
     ok = True
     classes = [("0", [0]), ("1", [1]), ("-1", [q - 1]), ("otherwise", range(2, q - 1))]
@@ -265,23 +239,24 @@ def _render_columns(header: list[str], rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines)
 
 
+# name -> (title(p), header, rows(p, rmax)); one block per prime
+_TABLES = {
+    "pi3": (lambda p: f"pi(3,s,p) for p={p} (modulus {p_power_at_least(3, p)[1]})",
+            ["s_mod", "pi", "status"], _pi3_rows),
+    "small-s": (lambda p: f"pi(r,s,p) for small s mod p^m, p={p}",
+                ["case", "formula", "r", "status"], _small_s_rows),
+}
+
+
 def cmd_table(args) -> int:
     rmax, primes = _grid(args)
+    title, header, rows_of = _TABLES[args.name]
     blocks = []
     ok = True
-    if args.name == "pi3":
-        for p in primes:
-            q = jordan.pi3_modulus(p)
-            rows, good = _pi3_rows(p, q)
-            ok = ok and good
-            blocks.append(f"pi(3,s,p) for p={p} (modulus {q})\n"
-                          + _render_columns(["s_mod", "pi", "status"], rows))
-    else:
-        for p in primes:
-            rows, good = _small_s_rows(p, rmax)
-            ok = ok and good
-            blocks.append(f"pi(r,s,p) for small s mod p^m, p={p}\n"
-                          + _render_columns(["case", "formula", "r", "status"], rows))
+    for p in primes:
+        rows, good = rows_of(p, rmax)
+        ok = ok and good
+        blocks.append(title(p) + "\n" + _render_columns(header, rows))
     _emit(args, "\n\n".join(blocks))
     return 0 if ok else 1
 
@@ -311,8 +286,7 @@ def _cell_oracle_equiv(r, s, p, caps):
 
 
 def _cell_involution(r, s, p, caps):
-    pi = jordan.pi_of(r, s, p)
-    return compose(pi, pi).is_identity(), ""
+    return jordan.pi_of(r, s, p).is_involution(), ""
 
 
 def _cell_fast_path(r, s, p, caps):
@@ -371,7 +345,7 @@ def cmd_sweep(args) -> int:
     if isinstance(smax, int) and smax < 1:
         raise UsageError(f"--smax must be >= 1, got {smax}")
     rmax, primes = _grid(args)
-    checks = [c.strip() for c in args.checks.split(",")]
+    checks = list(dict.fromkeys(c.strip() for c in args.checks.split(",")))
     for c in checks:
         if c not in _SWEEP_CHECKS:
             raise UsageError(f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
@@ -380,22 +354,15 @@ def cmd_sweep(args) -> int:
             for r, s, p, okay, detail in _SWEEP_CHECKS[name](rmax, smax, primes, caps)]
     rows.sort(key=lambda row: (row[3], row[2], row[0], row[1]))
 
-    failures = [row for row in rows if not row[4]]
+    columns = ["r", "s", "p", "check", "status", "detail"]
+    records = [(r, s, p, c, "pass" if okay else "fail", d) for r, s, p, c, okay, d in rows]
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "s", "p", "check", "status", "detail"])
-        for r, s, p, check, okay, detail in rows:
-            writer.writerow([r, s, p, check, "pass" if okay else "fail", detail])
+        csv.writer(buf, lineterminator="\n").writerows([columns, *records])
         _emit(args, buf.getvalue())
     elif args.format == "json":
-        payload = {
-            "summary": _sweep_summary(rows),
-            "rows": [{"r": r, "s": s, "p": p, "check": c,
-                      "status": "pass" if okay else "fail", "detail": d}
-                     for r, s, p, c, okay, d in rows],
-        }
-        _emit_json(args, payload)
+        _emit_json(args, {"summary": _sweep_summary(rows),
+                          "rows": [dict(zip(columns, rec)) for rec in records]})
     else:
         lines = []
         for name, info in _sweep_summary(rows).items():
@@ -403,7 +370,7 @@ def cmd_sweep(args) -> int:
                          + (f"; first failure {info['first_failure']}"
                             if info["first_failure"] else ""))
         _emit(args, "\n".join(lines))
-    return 1 if failures else 0
+    return 0 if all(row[4] for row in rows) else 1
 
 
 def _sweep_summary(rows):
@@ -421,12 +388,6 @@ def _sweep_summary(rows):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_rsp(sub, s_required=True):
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--s", type=int, required=s_required)
-    sub.add_argument("--p", type=int, required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normanform",
@@ -434,37 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "blocks over GF(p), and the involutions they define.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    common_out = {"--out": dict(type=str, default=None, help="write output to FILE")}
-
     def add(name, func, **kw):
         sub = subs.add_parser(name, allow_abbrev=False, **kw)
         sub.set_defaults(func=func)
-        for flag, opts in common_out.items():
-            sub.add_argument(flag, **opts)
+        sub.add_argument("--out", type=str, default=None, help="write output to FILE")
         return sub
 
-    sub = add("lambda", cmd_query, help="Jordan partition of J_r (x) J_s over GF(p)")
-    _add_rsp(sub)
-    sub.add_argument("--json", action="store_true")
-
-    sub = add("pi", cmd_query, help="the Norman permutation in cycle notation")
-    _add_rsp(sub)
-    sub.add_argument("--json", action="store_true")
-
-    sub = add("standard", cmd_standard, help="standardness of the triple (r, s, p)")
-    _add_rsp(sub)
-    sub.add_argument("--json", action="store_true")
-
-    sub = add("delta", cmd_delta, help="delta bits and L/R gap functions")
-    _add_rsp(sub)
-
-    sub = add("oracle", cmd_oracle, help="brute-force Jordan partition from matrix ranks")
-    _add_rsp(sub)
-    sub.add_argument("--kind", choices=["unipotent", "nilpotent"], default="unipotent")
-    sub.add_argument("--cap", type=int, default=None, help="matrix dimension guard")
-
-    sub = add("green", cmd_green, help="tensor decomposition as dimension multiset")
-    _add_rsp(sub)
+    for name, (help_text, _, has_text) in _CELLS.items():
+        sub = add(name, cmd_cell, help=help_text)
+        for flag in ("--r", "--s", "--p"):
+            sub.add_argument(flag, type=int, required=True)
+        if has_text:
+            sub.add_argument("--json", action="store_true")
+        if name == "oracle":
+            sub.add_argument("--kind", choices=["unipotent", "nilpotent"], default="unipotent")
+            sub.add_argument("--cap", type=int, default=None, help="matrix dimension guard")
 
     sub = add("group", cmd_group, help="structure of the group of Norman involutions")
     sub.add_argument("--r", type=int, required=True)
@@ -482,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pi", type=str, default=None, help="cycle text, e.g. '(1,3)'")
 
     sub = add("table", cmd_table, help="recompute and verify the closed-form tables")
-    sub.add_argument("--name", choices=["pi3", "small-s"], required=True)
+    sub.add_argument("--name", choices=list(_TABLES), required=True)
     sub.add_argument("--primes", type=str, default="2", help="comma list, e.g. '2,3,5'")
     sub.add_argument("--rmax", type=int, default=25)
 

@@ -166,14 +166,10 @@ def _lam(r: int, s: int, p: int) -> tuple[str, list[int]]:
     return "digits", out + [m * Q for m in middle for _ in range(abs(s1 - r1))]
 
 
-def pi3_modulus(p: int) -> int:
-    """The period in s of pi(3, s, p): p^2 for p = 2, else p."""
-    return p * p if p == 2 else p
-
-
 def pi3_value(s: int, p: int) -> Permutation:
-    """pi(3, s, p) from the small-r table, read at s mod pi3_modulus(p)."""
-    q = pi3_modulus(p)
+    """pi(3, s, p) from the small-r table, read at s mod its period q in s, the least
+    p-power >= 3 (p^2 for p = 2, else p)."""
+    q = p_power_at_least(3, p)[1]
     x = s % q
     if x == 0:
         return rev(1, 3, 3)

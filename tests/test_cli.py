@@ -328,14 +328,53 @@ def test_byte_identical_reruns(capsys):
     assert a == b
 
 
+def check_jsonl_golden(capsys, name):
+    """Rerun the argv of each line of a jsonl golden: exit code and stdout must match.
+    An argparse rejection exits 2 with nothing on stdout."""
+    golden = (GOLDEN / name).read_text().splitlines()
+    got = []
+    for line in golden:
+        argv = json.loads(line)["argv"]
+        try:
+            code, text = run(capsys, *argv)
+        except SystemExit as exc:
+            code, text = exc.code, capsys.readouterr().out
+        got.append(json.dumps({"argv": argv, "exit": code, "stdout": text}))
+    assert got == golden
+
+
 def test_oracle_cli_golden(capsys):
     # tests/golden/oracle_cli.jsonl holds one line per invocation, recorded from
     # the dense Kronecker oracle: r <= s <= 8 at p in {2, 3} for both kinds, a
     # swapped pair, the cap rejections and the int64 rejection of the unipotent kind
-    golden = (GOLDEN / "oracle_cli.jsonl").read_bytes()
-    out = b""
-    for line in golden.decode().splitlines():
-        argv = json.loads(line)["argv"]
-        code, text = run(capsys, *argv)
-        out += (json.dumps({"argv": argv, "exit": code, "stdout": text}) + "\n").encode()
-    assert out == golden
+    check_jsonl_golden(capsys, "oracle_cli.jsonl")
+
+
+def test_cell_cli_golden(capsys):
+    # tests/golden/cell_cli.jsonl: lambda, pi, standard, delta, oracle and green, plain,
+    # --json and swapped, with bad p, r = 0 and flags a command lacks; oracle --kind and
+    # --cap; every group mode with its errors; and corr from each of its three inputs
+    check_jsonl_golden(capsys, "cell_cli.jsonl")
+
+
+def test_sweep_runs_a_repeated_check_once(capsys):
+    grid = ("--rmax", "3", "--primes", "2")
+    assert run(capsys, "sweep", "--checks", "involution,involution", *grid) == (
+        0, "involution: 6/6 passed\n")
+    for fmt in ("csv", "json"):
+        once = run(capsys, "sweep", "--checks", "involution,fast-path", *grid, "--format", fmt)
+        repeated = run(capsys, "sweep", "--checks", "involution,fast-path,involution,fast-path",
+                       *grid, "--format", fmt)
+        assert repeated == once, fmt
+
+
+def test_unwritable_out_is_a_usage_error_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (("delta", "--r", "2", "--s", "2", "--p", "2"),
+                 ("pi", "--r", "3", "--s", "4", "--p", "2"),
+                 ("table", "--name", "pi3", "--primes", "2"),
+                 ("sweep", "--checks", "involution", "--rmax", "2")):
+        code, payload = run_json(capsys, *argv, "--out", str(target))
+        assert code == 2 and payload["error"]["code"] == "usage", argv
+        assert str(target) in payload["error"]["message"], argv
+    assert not target.parent.exists()
