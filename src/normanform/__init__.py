@@ -8,8 +8,8 @@ from .corr import (DeviationError, DeviationVector, NotReversalProduct, SubsetPr
 from .delta import DeltaProfile, delta_profile
 from .green import (GreenDecomposition, GreenIdentityReport, GreenIdentityViolation,
                     check_green_identities, decompose)
-from .groupengine import (GroupReport, PermGroup, diagonal_embed, generator_census,
-                          group_generators, phi_image, residue_blocks, verify_wreath)
+from .groupengine import (GroupReport, diagonal_embed, generator_census, group_generators,
+                          phi_image, residue_blocks, verify_wreath)
 from .jordan import (FastPathResult, JordanResult, Partition, deviation, jordan_result,
                      lambda_of, pi_fast_path, pi_of)
 from .oracle import (DEFAULT_CAP, DimensionCapExceeded, nilpotent_mu, oracle_lambda,

@@ -28,19 +28,17 @@ class UsageError(ValueError):
     """Bad flags or bad input values; rendered with exit code 2."""
 
 
-def _caps(args) -> tuple[int, int]:
-    """(matrix cap, degree cap), honouring --cap and the NORMAN_CAP environment override."""
+def _cap(args) -> dict:
+    """The cap override, {} or {"cap": n} from --cap or else the NORMAN_CAP
+    environment variable; without one the library's defaults apply."""
     env = os.environ.get("NORMAN_CAP")
-    matrix_cap = oracle.DEFAULT_CAP
-    degree_cap = ge.DEFAULT_DEGREE_CAP
-    if env is not None:
-        try:
-            matrix_cap = degree_cap = int(env)
-        except ValueError as exc:
-            raise UsageError(f"NORMAN_CAP must be an integer, got {env!r}") from exc
+    try:
+        cap = {} if env is None else {"cap": int(env)}
+    except ValueError as exc:
+        raise UsageError(f"NORMAN_CAP must be an integer, got {env!r}") from exc
     if getattr(args, "cap", None) is not None:
-        matrix_cap = degree_cap = args.cap
-    return matrix_cap, degree_cap
+        cap = {"cap": args.cap}
+    return cap
 
 
 def _emit(args, text: str) -> None:
@@ -62,19 +60,18 @@ def _emit_json(args, payload: dict) -> None:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from exc
 
 
 def _grid(args) -> tuple[int, tuple[int, ...]]:
-    """(rmax, primes) of `table` and `sweep`, each prime checked once for every cell."""
+    """(rmax, primes) of `table` and `sweep`, each prime checked once for every cell
+    and listed once, in order of first appearance."""
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
-    primes = tuple(ensure_prime(p) for p in _parse_int_list(args.primes, "--primes"))
-    if not primes:
-        raise UsageError("prime list must be nonempty")
-    return args.rmax, primes
+    primes = dict.fromkeys(_parse_int_list(args.primes, "--primes"))
+    return args.rmax, tuple(ensure_prime(p) for p in primes)
 
 
 # -- single-cell commands -----------------------------------------------------
@@ -104,7 +101,7 @@ def _cell_delta(r, s, p, args):
 
 def _cell_oracle(r, s, p, args):
     route = oracle.oracle_lambda if args.kind == "unipotent" else oracle.oracle_nilpotent
-    part = route(r, s, p, cap=_caps(args)[0])
+    part = route(r, s, p, **_cap(args))
     return {"kind": args.kind, "partition": list(part.parts)}, None
 
 
@@ -144,17 +141,17 @@ def cmd_cell(args) -> int:
 
 
 def cmd_group(args) -> int:
-    _, degree_cap = _caps(args)
+    cap = _cap(args)
     if args.census:
         _emit_json(args, {"r": args.r, "p": args.p,
-                          "census": ge.generator_census(args.r, args.p)})
+                          "census": ge.generator_census(args.r, args.p, **cap)})
         return 0
     if args.blocks:
         b = p_parts(args.r, args.p).b
         _emit_json(args, {"r": args.r, "p": args.p, "b": b,
                           "blocks": [list(block) for block in ge.residue_blocks(args.r, b)]})
         return 0
-    report = ge.verify_wreath(args.r, args.p, cap=degree_cap)
+    report = ge.verify_wreath(args.r, args.p, **cap)
     payload = dataclasses.asdict(report)
     del payload["route"]
     _emit_json(args, {**payload, "verdict": report.verdict})
@@ -268,7 +265,7 @@ def _on_grid(cell, smax_default):
     """Rows (r, s, p, passed, detail) of a per-cell check over p, then 1 <= r <= rmax,
     then r <= s <= smax. smax is an integer, "period" (one full period r..r+p^m per
     (r, p)) or None, when smax_default ("rmax" or "period") applies."""
-    def rows(rmax, smax, primes, caps):
+    def rows(rmax, smax, primes, cap):
         smax = smax_default if smax is None else smax
         if smax == "rmax":
             smax = rmax
@@ -276,25 +273,25 @@ def _on_grid(cell, smax_default):
             for r in range(1, rmax + 1):
                 top = r + p_power_at_least(r, p)[1] if smax == "period" else smax
                 for s in range(r, top + 1):
-                    yield (r, s, p, *cell(r, s, p, caps))
+                    yield (r, s, p, *cell(r, s, p, cap))
     return rows
 
 
-def _cell_oracle_equiv(r, s, p, caps):
-    return oracle.oracle_lambda(r, s, p, cap=caps[0]).parts == \
+def _cell_oracle_equiv(r, s, p, cap):
+    return oracle.oracle_lambda(r, s, p, **cap).parts == \
         jordan.lambda_of(r, s, p).parts, ""
 
 
-def _cell_involution(r, s, p, caps):
+def _cell_involution(r, s, p, cap):
     return jordan.pi_of(r, s, p).is_involution(), ""
 
 
-def _cell_fast_path(r, s, p, caps):
+def _cell_fast_path(r, s, p, cap):
     hit = jordan.pi_fast_path(r, s, p)
     return hit.perm == jordan.pi_of(r, s, p), hit.rule
 
 
-def _cell_six_way(r, s, p, caps):
+def _cell_six_way(r, s, p, cap):
     try:
         standardness.equivalence_report(r, s, p)
     except standardness.EquivalenceViolation as exc:
@@ -302,7 +299,7 @@ def _cell_six_way(r, s, p, caps):
     return True, ""
 
 
-def _rows_bijection(rmax, smax, primes, caps):
+def _rows_bijection(rmax, smax, primes, cap):
     from itertools import combinations
     for r in range(1, rmax + 1):
         bad = 0
@@ -319,14 +316,14 @@ def _rows_bijection(rmax, smax, primes, caps):
         yield (r, 0, 0, bad == 0, f"subsets={total}")
 
 
-def _rows_wreath(rmax, smax, primes, caps):
+def _rows_wreath(rmax, smax, primes, cap):
     for p in primes:
         for r in range(2, rmax + 1):
-            report = ge.verify_wreath(r, p, cap=caps[1])
+            report = ge.verify_wreath(r, p, **cap)
             yield (r, 0, p, report.verdict, f"order={report.order}")
 
 
-# name -> rows(rmax, smax, primes, caps) yielding (r, s, p, passed, detail)
+# name -> rows(rmax, smax, primes, cap) yielding (r, s, p, passed, detail)
 _SWEEP_CHECKS = {
     "oracle-equiv": _on_grid(_cell_oracle_equiv, "rmax"),
     "involution": _on_grid(_cell_involution, "rmax"),
@@ -349,9 +346,9 @@ def cmd_sweep(args) -> int:
     for c in checks:
         if c not in _SWEEP_CHECKS:
             raise UsageError(f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
-    caps = _caps(args)
+    cap = _cap(args)
     rows = [(r, s, p, name, okay, detail) for name in checks
-            for r, s, p, okay, detail in _SWEEP_CHECKS[name](rmax, smax, primes, caps)]
+            for r, s, p, okay, detail in _SWEEP_CHECKS[name](rmax, smax, primes, cap)]
     rows.sort(key=lambda row: (row[3], row[2], row[0], row[1]))
 
     columns = ["r", "s", "p", "check", "status", "detail"]

@@ -1,8 +1,8 @@
-"""Permutation-group machinery: a deterministic stabilizer chain for exact order
-and membership, residue block systems, the induced block action, the diagonal
-embedding, and the wreath-structure verification of the groups generated by
-Norman involutions, proved by a structural certificate with the chain as
-fallback.
+"""Permutation-group machinery: residue block systems, the induced block
+action, the diagonal embedding, and the wreath-structure verification of the
+groups generated by Norman involutions, proved by a structural certificate.
+`PermGroup`, a deterministic stabilizer chain, is the tests' reference for the
+certificate's order and membership; no route here builds one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class _Level:
 
 
 class PermGroup:
-    """A permutation group of [degree] with a deterministic Schreier-Sims chain.
+    """A permutation group of [degree] with a deterministic Schreier-Sims chain,
+    the tests' reference for the wreath certificate.
 
     Base points are chosen greedily as the lowest moved point of each residue,
     so identical generator lists always produce identical chains.
@@ -161,10 +162,13 @@ class PermGroup:
 # -- Norman-involution generators -------------------------------------------
 
 
-def _one_period(r: int, p: int) -> list[Permutation]:
-    """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s."""
+def _one_period(r: int, p: int, cap: int) -> list[Permutation]:
+    """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s; the r * p^m
+    work is bounded by the degree guard r <= cap."""
     p = ensure_prime(p)
     pm = p_power_at_least(r, p)[1]
+    if r > cap:
+        raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
     return [pi_of(r, s, p) for s in range(r, r + pm)]
 
 
@@ -172,14 +176,14 @@ def _distinct_nontrivial(period: list[Permutation]) -> list[Permutation]:
     return list(dict.fromkeys(g for g in period if not g.is_identity()))
 
 
-def group_generators(r: int, p: int) -> list[Permutation]:
+def group_generators(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Permutation]:
     """Distinct nontrivial pi(r, s, p) over one full period, in order of first appearance."""
-    return _distinct_nontrivial(_one_period(r, p))
+    return _distinct_nontrivial(_one_period(r, p, cap))
 
 
-def generator_census(r: int, p: int) -> int:
+def generator_census(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Number of distinct pi(r, s, p) over one period, the identity included."""
-    return len(set(_one_period(r, p)))
+    return len(set(_one_period(r, p, cap)))
 
 
 # -- block systems and wreath structure --------------------------------------
@@ -226,8 +230,9 @@ def diagonal_embed(sigma: Permutation, a: int, b: int) -> Permutation:
 class GroupReport:
     """Structure verification for the group generated by the Norman involutions.
 
-    `route` names what decided the order and the diagonal membership:
-    "certificate" for the structural proof, "chain" for the stabilizer chain.
+    `route` is "certificate" when the structural proof decided the order and
+    the diagonal membership, and "uncertified" when it was not found; then
+    `order` is None and the verdict is false.
     """
 
     r: int
@@ -235,7 +240,7 @@ class GroupReport:
     a: int
     b: int
     generator_count: int
-    order: int
+    order: Optional[int]
     expected_order: int
     blocks_invariant: bool
     phi_image_is_dihedral: bool
@@ -359,15 +364,14 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     shows that their block permutations generate D_b. Then the product
     (1, b+1), whose conjugates join every residue block, shows that the
     kernel is all of S_a^b. So |G| = (a!)^b * |D_b|, and a block-preserving
-    permutation lies in G iff its block permutation lies in D_b. When the
-    certificate is not found, a Schreier-Sims chain on the same generators
-    decides both; `route` says which answered.
+    permutation lies in G iff its block permutation lies in D_b. The
+    certificate follows the paper's proof, so a miss points to a defect in
+    `pi` or in the certificate. It is reported as route "uncertified", with
+    order None and the diagonal copies not shown to lie in G.
     """
     p = ensure_prime(p)
     _, a, b, _ = p_parts(r, p)
-    if r > cap:
-        raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
-    period = _one_period(r, p)
+    period = _one_period(r, p, cap)
     gens = _distinct_nontrivial(period)
 
     l9_ok = True
@@ -382,20 +386,11 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     seed = (1, b + 1) if a > 1 and l9_ok else None
     blocks_invariant, phi_ok, order = _certify(gens, a, b, seed)
 
-    if a > 1:
+    diagonal_ok = order is not None
+    if diagonal_ok and a > 1:
         a_cycle = Permutation(tuple(range(2, a + 1)) + (1,))
-        diagonals = [diagonal_embed(transposition(1, 2, a), a, b),
-                     diagonal_embed(a_cycle, a, b)]
-    else:
-        diagonals = []
-    if order is not None:
-        route = "certificate"
-        diagonal_ok = all(_dihedral_form(phi_image(d, b), b) is not None for d in diagonals)
-    else:
-        route = "chain"
-        G = PermGroup(gens, r, cap=cap)
-        order = G.order()
-        diagonal_ok = all(G.contains(d) for d in diagonals)
+        diagonal_ok = all(_dihedral_form(phi_image(diagonal_embed(sigma, a, b), b), b)
+                          is not None for sigma in (transposition(1, 2, a), a_cycle))
 
     return GroupReport(
         r=r, p=p, a=a, b=b,
@@ -406,5 +401,5 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
         phi_image_is_dihedral=phi_ok,
         diagonal_contained=diagonal_ok,
         l9_transposition_found=l9_ok,
-        route=route,
+        route="certificate" if order is not None else "uncertified",
     )

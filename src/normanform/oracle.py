@@ -60,8 +60,11 @@ inverse is needed; each product, and so their difference, is at most
 What this shares with the delta route: the entries are binomials mod p, and
 D_n(r, s) is the determinant of the square degree-(n-1) block of
 (x + Y)^(r+s-2n). What it does not share: no Legendre sums and no carry
-arithmetic; ranks come from counting entries and exact elimination mod p,
-and nothing here imports the delta route.
+arithmetic; ranks come from counting entries and exact elimination mod p.
+This module imports `jordan` for `Partition`, and `jordan` imports the delta
+route, but no oracle call reaches `delta_profile`:
+`test_graded_oracle_never_calls_the_delta_route` patches it to raise and
+checks the oracle against the dense reference.
 """
 
 from __future__ import annotations

@@ -158,7 +158,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     pos = skip_ws(pos)
     if pos == n:
         raise CycleParseError("empty input", pos)
-    saw_any = False
     while pos < n:
         if text[pos] != "(":
             raise CycleParseError(f"expected '(' but found {text[pos]!r}", pos)
@@ -185,11 +184,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         if pos == n:
             raise CycleParseError("unterminated cycle", pos)
         pos = skip_ws(pos + 1)
-        saw_any = True
         for a, b in zip(cycle, cycle[1:]):
             images[a - 1] = b
         if len(cycle) > 1:
             images[cycle[-1] - 1] = cycle[0]
-    if not saw_any:
-        raise CycleParseError("no cycles found", 0)
     return Permutation(tuple(images))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import normanform as nf
 from normanform.cli import main
+from normanform.groupengine import PermGroup
 from normanform.parith import p_power_at_least
 from normanform.perm import compose, conjugate, embed, rev
 
@@ -162,7 +163,7 @@ def test_criterion_6_wreath_structure():
             assert rep.order == rep.expected_order, (r, p, rep)
             assert rep.verdict, (r, p, rep)
             # the stabilizer chain re-derives the certificate's order and membership
-            chain = nf.PermGroup(nf.group_generators(r, p), r)
+            chain = PermGroup(nf.group_generators(r, p), r)
             assert chain.order() == rep.order, (r, p, rep)
             if rep.a > 1:
                 a_cycle = nf.Permutation(tuple(range(2, rep.a + 1)) + (1,))

@@ -161,6 +161,20 @@ def test_group_cli(capsys):
     assert code == 0 and payload["blocks"] == [[1, 4], [2, 5], [3, 6]]
 
 
+def test_group_census_honours_the_cap(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "group", "--census", "--r", "8000", "--p", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and payload["error"] == {"code": "resource-cap",
+                                              "message": "degree 8000 exceeds cap 64"}
+    code, payload = run_json(capsys, "group", "--census", "--r", "65", "--p", "2",
+                             "--cap", "65")
+    assert code == 0 and payload["census"] > 1
+    monkeypatch.setenv("NORMAN_CAP", "5")
+    code, payload = run_json(capsys, "group", "--census", "--r", "6", "--p", "3")
+    assert code == 2 and payload["error"]["message"] == "degree 6 exceeds cap 5"
+
+
 def test_corr_cli_three_inputs(capsys):
     code, a = run_json(capsys, "corr", "--r", "4", "--t", "2")
     code2, b = run_json(capsys, "corr", "--eps", "2,2,-2,-2")
@@ -175,6 +189,29 @@ def test_corr_usage_errors(capsys):
     assert code == 2 and payload["error"]["code"] == "usage"
     code, payload = run_json(capsys, "corr", "--eps", "1,0,-1")
     assert code == 2 and payload["error"]["code"] == "invalid-argument"
+
+
+def test_empty_list_items_are_usage_errors(capsys):
+    for argv in (("corr", "--eps", "1,,0"), ("corr", "--eps", ""), ("corr", "--eps", "2,-2,"),
+                 ("corr", "--r", "4", "--t", "1,,3"),
+                 ("table", "--name", "pi3", "--primes", ""),
+                 ("sweep", "--checks", "involution", "--rmax", "2", "--primes", "2,,3")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["error"]["code"] == "usage", argv
+        assert "comma-separated integer list" in payload["error"]["message"], argv
+    # an empty --t is still the empty subset
+    code, payload = run_json(capsys, "corr", "--r", "3", "--t", "")
+    assert code == 0 and payload["subset"] == [] and payload["pi"] == "(1,3)"
+
+
+def test_a_repeated_prime_runs_once(capsys):
+    assert run(capsys, "sweep", "--checks", "involution", "--rmax", "2",
+               "--primes", "2,2") == (0, "involution: 3/3 passed\n")
+    once = run(capsys, "table", "--name", "small-s", "--primes", "2", "--rmax", "3")
+    assert run(capsys, "table", "--name", "small-s", "--primes", "2,2", "--rmax", "3") == once
+    code, out = run(capsys, "sweep", "--checks", "involution", "--rmax", "1",
+                    "--primes", "3,2,3", "--format", "csv")
+    assert code == 0 and [line.split(",")[2] for line in out.splitlines()[1:]] == ["2", "3"]
 
 
 def test_invalid_argument_exit(capsys):
@@ -208,7 +245,7 @@ def test_table_small_s_empty_range_is_vacuous(capsys):
 
 
 def test_sweep_rejects_smax_below_one(capsys):
-    for smax in ("0", "-5"):
+    for smax in ("0", "-5", "x"):
         code, payload = run_json(capsys, "sweep", "--checks", "fast-path", "--rmax", "3",
                                  "--smax", smax)
         assert code == 2 and payload["error"]["code"] == "usage", smax

@@ -1,6 +1,6 @@
+import json
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 from math import factorial
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normanform import groupengine, parith
+from normanform.cli import main
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _certify,
                                     _generates_dihedral, diagonal_embed,
                                     expected_wreath_order, generator_census,
@@ -61,6 +62,18 @@ def test_degree_cap():
     with pytest.raises(DegreeCapExceeded):
         PermGroup([identity(70)], 70)
     PermGroup([identity(70)], 70, cap=70)
+
+
+def test_one_degree_guard_for_every_group_function():
+    for call in (verify_wreath, group_generators, generator_census):
+        with pytest.raises(DegreeCapExceeded, match="degree 65 exceeds cap 64"):
+            call(65, 2)
+        with pytest.raises(DegreeCapExceeded, match="degree 8 exceeds cap 7"):
+            call(8, 2, cap=7)
+        # r is checked before the cap
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            call(0, 2, cap=-1)
+    assert generator_census(65, 2, cap=65) >= len(group_generators(65, 2, cap=65)) > 0
 
 
 def test_group_generators_examples():
@@ -282,36 +295,25 @@ def test_certificate_misses_block_breaker():
     assert _certify(gens, 2, 2, None) == (False, False, None)
 
 
-def test_verify_wreath_falls_back_to_chain(monkeypatch):
-    certified = [verify_wreath(r, p) for (r, p) in [(6, 3), (5, 3), (12, 2), (27, 3)]]
-    # a certificate that never finds the order leaves order and membership to the chain
+def test_verify_wreath_reports_a_certificate_miss(monkeypatch, capsys):
+    # a certificate that never finds the order is an honest failure, not a second route
     monkeypatch.setattr(groupengine, "_certify", lambda *args: (True, True, None))
-    for rep in certified:
-        assert rep.route == "certificate"
-        assert verify_wreath(rep.r, rep.p) == replace(rep, route="chain")
+    for (r, p) in [(6, 3), (5, 3), (12, 2), (27, 3), (1, 2)]:
+        rep = verify_wreath(r, p)
+        assert rep.route == "uncertified" and rep.order is None, (r, p)
+        assert not rep.diagonal_contained and not rep.verdict, (r, p)
+    assert main(["group", "--r", "6", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert '"order": null' in out and json.loads(out)["verdict"] is False
 
 
-def test_certificate_alone_for_r25_to_r64(monkeypatch):
-    """Every cell 25 <= r <= 64, p in {2,3,5,7,11,13} is certified with the
-    expected order; a cell that would need the chain fails here."""
-    class ChainNeeded(Exception):
-        pass
-
-    def refuse(*args, **kwargs):
-        raise ChainNeeded
-
-    monkeypatch.setattr(groupengine, "PermGroup", refuse)
-    misses = set()
+def test_certificate_alone_for_r1_to_r64():
+    """Every cell 1 <= r <= 64, p in {2,3,5,7,11,13} is certified with the expected order."""
     for p in (2, 3, 5, 7, 11, 13):
-        for r in range(25, 65):
-            try:
-                rep = verify_wreath(r, p)
-            except ChainNeeded:
-                misses.add((r, p))
-                continue
+        for r in range(1, 65):
+            rep = verify_wreath(r, p)
             assert rep.route == "certificate" and rep.verdict, (r, p)
             assert rep.order == rep.expected_order, (r, p)
-    assert misses == set()
 
 
 def test_verify_wreath_r60_is_fast():
