@@ -189,8 +189,10 @@ def cmd_corr(args) -> int:
 
 def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
     """Rows (class, value, status) of the small-r table for one prime, over one period q
-    in s: the delta route at three s per residue, compared against jordan.pi3_value."""
+    in s: the delta route at three s per residue, read from one run of 3q values of s
+    from s = 3, compared against jordan.pi3_value."""
     q = p_power_at_least(3, p)[1]
+    run = jordan._pi_run(3, p, 3 * q)  # run[s - 3] = pi(3, s, p)
     rows = []
     ok = True
     classes = [("0", [0]), ("1", [1]), ("-1", [q - 1]), ("otherwise", range(2, q - 1))]
@@ -199,7 +201,7 @@ def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
             rows.append((label, "()", "vacuous"))
             continue
         starts = [x if x >= 3 else x + q for x in residues]
-        values = {jordan.pi_of(3, s, p) for s0 in starts for s in (s0, s0 + q, s0 + 2 * q)}
+        values = {run[s - 3] for s0 in starts for s in (s0, s0 + q, s0 + 2 * q)}
         expected = {jordan.pi3_value(x, p) for x in residues}
         if len(values) == 1 and values == expected:
             rows.append((label, format_cycles(values.pop()), "ok"))

@@ -14,13 +14,26 @@ stepping by F(k+1) = F(k) + v_p(k!) and v_p((k+1)!) = v_p(k!) + v_p(k+1). One
 profile costs O(r + log_p s) integer operations; the huge integer D_n is never
 formed. The carry-count and exact big-integer values of D_n, independent
 routes, live with the tests as references.
+
+A run of consecutive s = r, r+1, ..., as one period of pi in s, reads every
+row from one table of F instead of two windows per s. The far windows of
+s0 <= s < s1 all lie in [s0-r, s1-1+r], and at s = r the far window starts
+at 0, so the head of the first table, F on [0, r], is also the near window of
+every s. The table is built in chunks of _RUN_CHUNK values of s, so a run's
+extra memory is O(r + _RUN_CHUNK) whatever its length; neighbouring chunks
+overlap in 2r entries of F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .parith import check_rsp
+
+# values of s per Legendre table in a run of s: a table holds _RUN_CHUNK + 2r
+# entries of F
+_RUN_CHUNK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,12 @@ def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
 
 def _valuations(r: int, s: int, p: int) -> list[int]:
     """[v_p(D_1), ..., v_p(D_{r-1})] from F tabulated on [0, r] and [s-r, s+r]."""
-    near = _legendre_window(0, r, p)         # near[x] = F(x)
-    far = _legendre_window(s - r, s + r, p)  # far[x - s + r] = F(x)
+    return _valuations_on(r, s, p, _legendre_window(0, r, p), _legendre_window(s - r, s + r, p))
+
+
+def _valuations_on(r: int, s: int, p: int, near: list[int], far: list[int]) -> list[int]:
+    """[v_p(D_1), ..., v_p(D_{r-1})] read off near[x] = F(x) for 0 <= x <= r and
+    far[x - s + r] = F(x) for s-r <= x <= s+r."""
     out = []
     for n in range(1, r):
         v = (far[2 * r - n] - far[2 * r - 2 * n] - near[r] + near[r - n]
@@ -91,10 +108,30 @@ def _valuations(r: int, s: int, p: int) -> list[int]:
     return out
 
 
+def _bits(valuations: list[int]) -> list[int]:
+    """delta_0, ..., delta_r: 1 at both ends and wherever v_p(D_n) = 0."""
+    return [1] + [1 if v == 0 else 0 for v in valuations] + [1]
+
+
+def _delta_run(r: int, p: int, count: int) -> Iterator[list[int]]:
+    """The delta bits of (r, s, p) for s = r, ..., r + count - 1 in turn, read
+    from chunked tables of F as the module docstring sets out; p is a checked
+    prime."""
+    width = 2 * r + 1
+    near: list[int] = []
+    for s0 in range(r, r + count, _RUN_CHUNK):
+        s1 = min(s0 + _RUN_CHUNK, r + count)
+        table = _legendre_window(s0 - r, s1 - 1 + r, p)  # table[x - s0 + r] = F(x)
+        if s0 == r:
+            near = table[:r + 1]
+        for i in range(s1 - s0):
+            yield _bits(_valuations_on(r, s0 + i, p, near, table[i:i + width]))
+
+
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
     """Full delta/L/R profile for (r, s, p)."""
     p = check_rsp(r, s, p)
-    delta = [1] + [1 if v == 0 else 0 for v in _valuations(r, s, p)] + [1]
+    delta = _bits(_valuations(r, s, p))
     L = [0] * r
     R = [0] * r
     last_one = 0

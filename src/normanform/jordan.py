@@ -19,12 +19,12 @@ p-power >= r; the first step that applies is taken:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from . import corr
+from . import corr, delta
 from .corr import DeviationVector, SubsetProfile
 from .delta import DeltaProfile, delta_profile
-from .parith import check_rsp, p_power_at_least
+from .parith import check_rsp, ensure_prime, p_power_at_least
 from .perm import Permutation, compose, embed, identity, rev, transposition
 
 
@@ -96,8 +96,37 @@ def pi_of(r: int, s: int, p: int) -> Permutation:
 
 
 def _pi_from_profile(prof: DeltaProfile) -> Permutation:
-    r = prof.r
-    return Permutation(tuple(n + 1 - prof.L[n - 1] + prof.R[n - 1] for n in range(1, r + 1)))
+    return Permutation(_pi_images(prof.delta))
+
+
+def _pi_images(bits: Sequence[int]) -> tuple[int, ...]:
+    """Images of pi read off the bits delta_0..delta_r. With lo = n - L(n) and
+    hi = n + R(n) the set bits on either side of n, pi(n) = n + 1 - L(n) + R(n)
+    = lo + hi + 1 - n: pi reverses each segment (lo, hi] between consecutive
+    set bits."""
+    images: list[int] = []
+    lo = 0
+    for hi in range(1, len(bits)):
+        if bits[hi]:
+            images.extend(range(hi, lo, -1))
+            lo = hi
+    return tuple(images)
+
+
+def _pi_run(r: int, p: int, count: int) -> list[Permutation]:
+    """pi(r, s, p) for s = r, ..., r + count - 1, read from one chunked Legendre
+    table (`delta._delta_run`). The bits determine pi, so keying on them gives
+    one Permutation per distinct value. Uncapped: the work is r * count."""
+    p = ensure_prime(p)
+    shared: dict[tuple[int, ...], Permutation] = {}
+    out = []
+    for bits in delta._delta_run(r, p, count):
+        key = tuple(bits)
+        g = shared.get(key)
+        if g is None:
+            g = shared[key] = Permutation(_pi_images(bits))
+        out.append(g)
+    return out
 
 
 def deviation(r: int, s: int, p: int) -> DeviationVector:

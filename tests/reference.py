@@ -3,10 +3,10 @@
 Each one computes by a route the package does not ship: Kummer carry counts
 for binomial valuations, the exact big-integer determinant D_n(r, s), the
 breadth-first closure of a permutation group, the test of a dihedral block
-action by stabilizer-chain order and membership, and the dense Kronecker
-route to a Jordan partition. Only the input checks, the permutation
-primitives, the stabilizer chain and the pieces named below come from the
-package.
+action by stabilizer-chain order and membership, the orbit walk that joins
+residue blocks, and the dense Kronecker route to a Jordan partition. Only
+the input checks, the permutation primitives, the stabilizer chain and the
+pieces named below come from the package.
 
 The dense route (`jordan_block`, `MatrixGFp`, `build_tensor`, `_row_echelon`,
 `rank_gfp`, `_rank_sequence`, `jcf_partition_single_eigenvalue`) builds
@@ -114,6 +114,42 @@ def generates_dihedral(images: list[Permutation], b: int) -> bool:
         H.contains(Permutation(tuple((c - n) % b + 1 for n in range(1, b + 1))))
         for c in range(b))
 
+
+
+def joins_blocks_orbit_walk(seed: tuple[int, ...], gens: list[tuple[int, ...]],
+                            b: int) -> bool:
+    """The verdict of groupengine._joins_blocks by a walk over the orbit of the
+    2-set `seed` under <gens>: each set in the orbit is an edge, merged into a
+    union-find, and the walk stops as soon as b components remain. It visits
+    up to C(degree, 2) sets, where the package's join queues only the pairs
+    that merge."""
+    parent = list(range(len(gens[0]) + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = len(gens[0])
+    start = frozenset(seed)
+    seen, queue = {start}, [start]
+    while queue:
+        support = queue.pop()
+        root = find(min(support))
+        for x in support:
+            rx = find(x)
+            if rx != root:
+                parent[rx] = root
+                components -= 1
+        if components == b:
+            return True
+        for g in gens:
+            image = frozenset(g[x - 1] for x in support)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return False
 
 # -- the dense Kronecker route ------------------------------------------------------
 

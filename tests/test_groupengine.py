@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normanform import groupengine, parith
+from normanform import delta, groupengine, parith
 from normanform.cli import main
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _certify,
-                                    _generates_dihedral, diagonal_embed,
-                                    expected_wreath_order, generator_census,
-                                    group_generators, phi_image, residue_blocks,
-                                    verify_wreath)
+                                    _generates_dihedral, _joins_blocks, _one_period,
+                                    diagonal_embed, expected_wreath_order,
+                                    generator_census, group_generators, phi_image,
+                                    residue_blocks, verify_wreath)
 from normanform.jordan import pi_of
 from normanform.parith import p_power_at_least
 from normanform.perm import (Permutation, compose, format_cycles, identity, rev,
                              transposition)
-from reference import closure, generates_dihedral
+from reference import closure, generates_dihedral, joins_blocks_orbit_walk
 
 
 def random_perm(rng, r):
@@ -97,6 +97,16 @@ def test_residue_blocks():
     assert residue_blocks(6, 1) == [(1, 2, 3, 4, 5, 6)]
     with pytest.raises(ValueError):
         residue_blocks(6, 4)
+    for degree, b in [(1, 1), (6, 2), (12, 4), (30, 5), (64, 64), (96, 1), (243, 27)]:
+        assert residue_blocks(degree, b) == [
+            tuple(n for n in range(1, degree + 1) if n % b == j % b) for j in range(1, b + 1)]
+
+
+def test_group_blocks_cli_at_r8192_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["group", "--blocks", "--r", "8192", "--p", "2"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert len(json.loads(capsys.readouterr().out)["blocks"]) == 8192
 
 
 def test_phi_image_examples():
@@ -329,3 +339,70 @@ def test_verify_wreath_b1_is_fast():
     rep = verify_wreath(126, 5, cap=126)
     assert time.perf_counter() - start < 1.0
     assert rep.b == 1 and rep.verdict and rep.route == "certificate"
+
+
+def test_verify_wreath_r1000_p7_is_fast():
+    # b = 1, a = 1000: one period of 7^4 = 2401 cells, and a join over 1000 points
+    start = time.perf_counter()
+    rep = verify_wreath(1000, 7, cap=1000)
+    assert time.perf_counter() - start < 4.0
+    assert rep.verdict and rep.route == "certificate"
+
+
+def test_period_table_equals_pi_of():
+    """One period from the Legendre table equals pi_of cell by cell, for every
+    r <= 40 and p <= 13 with r * p^m <= 2 * 10^5."""
+    cells = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in range(1, 41):
+            pm = p_power_at_least(r, p)[1]
+            if r * pm > 2 * 10**5:
+                continue
+            cells += 1
+            assert _one_period(r, p, r) == [pi_of(r, s, p) for s in range(r, r + pm)], (r, p)
+    assert cells == 240
+
+
+def test_period_table_is_built_in_chunks(monkeypatch):
+    r, p = 3, 100003
+    lengths = []
+    window = delta._legendre_window
+
+    def recording(lo, hi, q):
+        out = window(lo, hi, q)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(delta, "_legendre_window", recording)
+    period = _one_period(r, p, 64)
+    assert len(period) == p and delta._RUN_CHUNK * 8 <= p
+    assert len(lengths) >= p // delta._RUN_CHUNK
+    assert max(lengths) <= delta._RUN_CHUNK + 2 * r + 1
+
+
+def test_period_table_with_small_chunks(monkeypatch):
+    """Chunks of 1, 5 and 64 values of s give the same periods as pi_of: each
+    chunk reads its own slice of F, and the near window stays that of s = r."""
+    cells = [(r, p) for p in (2, 3, 5) for r in range(1, 17)] + [(27, 3), (40, 7), (49, 7)]
+    expected = {(r, p): [pi_of(r, s, p) for s in range(r, r + p_power_at_least(r, p)[1])]
+                for r, p in cells}
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(delta, "_RUN_CHUNK", chunk)
+        for r, p in cells:
+            assert _one_period(r, p, r) == expected[r, p], (chunk, r, p)
+
+
+def test_join_matches_the_orbit_walk():
+    """Atkinson's join gives the orbit walk's verdict on the generators of
+    every 2 <= r <= 32, p in {2, 3, 5, 7}, for random seed pairs, cross-block
+    ones included, and every divisor b of r."""
+    rng = random.Random(1975)
+    for p in (2, 3, 5, 7):
+        for r in range(2, 33):
+            gens = [g.images for g in group_generators(r, p)]
+            drawn = [tuple(rng.sample(range(1, r + 1), 2)) for _ in range(2)]
+            for b in (b for b in range(1, r + 1) if r % b == 0):
+                inside = [(1, b + 1)] if b < r else []  # inside block 1
+                for seed in drawn + inside:
+                    assert _joins_blocks(seed, gens, b) == joins_blocks_orbit_walk(
+                        seed, gens, b), (r, p, seed, b)
