@@ -4,11 +4,18 @@ products of disjoint consecutive-interval reversals covering [r].
 Subsets T = {t_1 < ... < t_k} of [r-1] carry sentinels t_0 = 0 and t_{k+1} = r;
 the intervals between consecutive cut points are reversed in place by the
 corresponding permutation, and the deviation vector is constant on each interval.
+
+The two interval maps over cut points, _reversal_images (pi(n) = lo + hi + 1 - n
+on (lo, hi]) and _deviation_entries (eps_n = r - lo - hi on (lo, hi]), are the
+only home of these formulas: subset_to_perm and subset_to_eps read them at T's
+cut points, and the delta route of `jordan` at the set bits of the delta profile,
+where lambda = s + eps is Norman's lambda and pi his involution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .perm import Permutation
 
@@ -111,22 +118,33 @@ def validate_eps(entries) -> DeviationVector:
     return DeviationVector(tuple(int(e) for e in entries))
 
 
+def _reversal_images(cuts: Sequence[int]) -> tuple[int, ...]:
+    """One-line images of the product of reversals of the intervals (lo, hi] between
+    consecutive cut points 0 = t_0 < ... < t_{k+1} = r: pi(n) = lo + hi + 1 - n."""
+    images: list[int] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        images.extend(range(hi, lo, -1))
+    return tuple(images)
+
+
+def _deviation_entries(cuts: Sequence[int]) -> list[int]:
+    """eps_1, ..., eps_r constant on each interval (lo, hi] between consecutive cut
+    points 0 = t_0 < ... < t_{k+1} = r: eps_n = r - lo - hi."""
+    r = cuts[-1]
+    entries: list[int] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        entries.extend([r - lo - hi] * (hi - lo))
+    return entries
+
+
 def subset_to_perm(T: SubsetProfile) -> Permutation:
     """Product of reversals over the consecutive intervals of T; an involution or identity."""
-    images = list(range(1, T.r + 1))
-    for lo, hi in T.intervals():
-        for n in range(lo, hi + 1):
-            images[n - 1] = lo + hi - n
-    return Permutation(tuple(images))
+    return Permutation(_reversal_images(T.cuts()))
 
 
 def subset_to_eps(T: SubsetProfile) -> DeviationVector:
     """Deviation vector constant on each interval: eps_n = r - t_i - t_{i+1} on [t_i+1, t_{i+1}]."""
-    entries: list[int] = []
-    cuts = T.cuts()
-    for lo, hi in zip(cuts, cuts[1:]):
-        entries.extend([T.r - lo - hi] * (hi - lo))
-    return DeviationVector(tuple(entries))
+    return DeviationVector(tuple(_deviation_entries(T.cuts())))
 
 
 def eps_to_perm(eps: DeviationVector) -> Permutation:

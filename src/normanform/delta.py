@@ -144,7 +144,4 @@ def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
         if delta[n] == 1:
             next_one = n
         R[n - 1] = next_one - n
-    prof = DeltaProfile(r, s, p, tuple(delta), tuple(L), tuple(R))
-    for n in range(1, r + 1):
-        assert 1 <= prof.L[n - 1] <= n and 0 <= prof.R[n - 1] <= r - n
-    return prof
+    return DeltaProfile(r, s, p, tuple(delta), tuple(L), tuple(R))

@@ -3,6 +3,14 @@ product of unipotent Jordan blocks, its Norman permutation pi(r, s, p), and the
 deviation vector, all via the delta route; plus a fast path, pi_fast_path, that
 reads pi off a base-p recursion for lambda with no Legendre sums.
 
+The delta route ends at the cut points 0 = t_0 < ... < t_{k+1} = r, the set bits
+of delta_0..delta_r, and reads everything from the two interval maps of `corr`.
+On each interval (lo, hi], lo = n - L(n) and hi = n + R(n), so
+lambda_n = s + eps_n = s + r - lo - hi is Norman's r + s - 2n + L(n) - R(n), and
+pi(n) = r + 1 - n + s - lambda_n = lo + hi + 1 - n reverses the interval. As
+sum (hi - lo)(r - lo - hi) = r^2 - sum (hi^2 - lo^2) = 0, sum eps = 0 and
+|lambda| = rs.
+
 The recursion, for r <= s, with lambda(r, s) = lambda(s, r) and q the least
 p-power >= r; the first step that applies is taken:
 - staircase, r <= 1 or r + s - 1 <= p: lambda_n = r + s + 1 - 2n (so lambda(0, s)
@@ -19,10 +27,11 @@ p-power >= r; the first step that applies is taken:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 from . import corr, delta
-from .corr import DeviationVector, SubsetProfile
+from .corr import DeviationVector
 from .delta import DeltaProfile, delta_profile
 from .parith import check_rsp, ensure_prime, p_power_at_least
 from .perm import Permutation, compose, embed, identity, rev, transposition
@@ -75,42 +84,20 @@ class JordanResult:
     method: str
 
 
+def _cut_points(bits: Sequence[int]) -> list[int]:
+    """The cut points 0 = t_0 < ... < t_{k+1} = r: the set bits of delta_0..delta_r."""
+    return list(compress(range(len(bits)), bits))
+
+
 def lambda_of(r: int, s: int, p: int) -> Partition:
-    """The Jordan partition of rs with exactly r parts: lambda_n = r+s-2n+L(n)-R(n)."""
-    prof = delta_profile(r, s, p)
-    return _lambda_from_profile(prof)
-
-
-def _lambda_from_profile(prof: DeltaProfile) -> Partition:
-    r, s = prof.r, prof.s
-    parts = tuple(r + s - 2 * n + prof.L[n - 1] - prof.R[n - 1] for n in range(1, r + 1))
-    lam = Partition(parts)
-    assert lam.size == r * s
-    return lam
+    """The Jordan partition of rs with exactly r parts: lambda_n = s + eps_n."""
+    cuts = _cut_points(delta_profile(r, s, p).delta)
+    return Partition(tuple(s + e for e in corr._deviation_entries(cuts)))
 
 
 def pi_of(r: int, s: int, p: int) -> Permutation:
-    """The Norman permutation n -> n + 1 - L(n) + R(n); an involution or the identity."""
-    prof = delta_profile(r, s, p)
-    return _pi_from_profile(prof)
-
-
-def _pi_from_profile(prof: DeltaProfile) -> Permutation:
-    return Permutation(_pi_images(prof.delta))
-
-
-def _pi_images(bits: Sequence[int]) -> tuple[int, ...]:
-    """Images of pi read off the bits delta_0..delta_r. With lo = n - L(n) and
-    hi = n + R(n) the set bits on either side of n, pi(n) = n + 1 - L(n) + R(n)
-    = lo + hi + 1 - n: pi reverses each segment (lo, hi] between consecutive
-    set bits."""
-    images: list[int] = []
-    lo = 0
-    for hi in range(1, len(bits)):
-        if bits[hi]:
-            images.extend(range(hi, lo, -1))
-            lo = hi
-    return tuple(images)
+    """The Norman permutation n -> lo + hi + 1 - n on (lo, hi]; an involution or the identity."""
+    return Permutation(corr._reversal_images(_cut_points(delta_profile(r, s, p).delta)))
 
 
 def _pi_run(r: int, p: int, count: int) -> list[Permutation]:
@@ -124,34 +111,26 @@ def _pi_run(r: int, p: int, count: int) -> list[Permutation]:
         key = tuple(bits)
         g = shared.get(key)
         if g is None:
-            g = shared[key] = Permutation(_pi_images(bits))
+            g = shared[key] = Permutation(corr._reversal_images(_cut_points(bits)))
         out.append(g)
     return out
 
 
 def deviation(r: int, s: int, p: int) -> DeviationVector:
     """The deviation vector (lambda_1 - s, ..., lambda_r - s)."""
-    lam = lambda_of(r, s, p)
-    return corr.validate_eps(part - s for part in lam.parts)
+    cuts = _cut_points(delta_profile(r, s, p).delta)
+    return DeviationVector(tuple(corr._deviation_entries(cuts)))
 
 
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
-    """Assemble lambda, pi, epsilon for (r, s, p) and assert their mutual consistency."""
+    """Assemble lambda, pi and epsilon for (r, s, p) from the cut points of one delta profile."""
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
-    lam = _lambda_from_profile(prof)
-    pi = _pi_from_profile(prof)
-    eps = corr.validate_eps(part - s for part in lam.parts)
-    # the reversal-product route through the descent set must agree
-    via_subset = corr.subset_to_perm(SubsetProfile(r, prof.descent_set()))
-    if via_subset != pi:
-        raise RuntimeError(f"pi routes disagree for (r,s,p)=({r},{s},{p})")
-    for n in range(1, r + 1):
-        if pi(n) != (r + 1 - n) + s - lam.parts[n - 1]:
-            raise RuntimeError(f"pi/lambda inconsistency at n={n} for ({r},{s},{p})")
-    if not pi.is_involution():
-        raise RuntimeError(f"pi({r},{s},{p}) is not an involution")
-    return JordanResult(r, s, p, lam, pi, eps, prof, "delta-route")
+    cuts = _cut_points(prof.delta)
+    entries = corr._deviation_entries(cuts)
+    lam = Partition(tuple(s + e for e in entries))
+    pi = Permutation(corr._reversal_images(cuts))
+    return JordanResult(r, s, p, lam, pi, DeviationVector(tuple(entries)), prof, "delta-route")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normanform import delta, parith, standardness
-from normanform.corr import reversal_cuts, subset_to_perm, SubsetProfile
+from normanform import corr, delta, green, groupengine, parith, standardness
+from normanform.corr import reversal_cuts, subset_to_eps, subset_to_perm, SubsetProfile
 from normanform.jordan import (Partition, deviation, jordan_result, lambda_of,
-                               pi_fast_path, pi_of)
+                               pi3_value, pi_fast_path, pi_of)
 from normanform.parith import p_parts, p_power_at_least
 from normanform.perm import compose, conjugate, format_cycles, identity, rev
 
@@ -137,6 +137,32 @@ def test_fast_path_never_calls_the_delta_route(monkeypatch):
         assert pi_fast_path(r, s, p).perm == pi, (r, s, p)
 
 
+def test_interval_maps_have_one_home(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an interval map of corr was called")
+
+    monkeypatch.setattr(corr, "_reversal_images", refuse)
+    monkeypatch.setattr(corr, "_deviation_entries", refuse)
+    T = SubsetProfile(5, (2,))
+    for call in (lambda: pi_of(5, 12, 3), lambda: lambda_of(5, 12, 3),
+                 lambda: deviation(5, 12, 3), lambda: jordan_result(5, 12, 3),
+                 lambda: standardness.equivalence_report(5, 12, 3),
+                 lambda: groupengine.group_generators(5, 3),
+                 lambda: subset_to_perm(T), lambda: subset_to_eps(T)):
+        with pytest.raises(AssertionError, match="interval map"):
+            call()
+    # the fast path stays independent of corr
+    assert format_cycles(pi_fast_path(5, 12, 3).perm) == "(1,2)(4,5)"
+
+
+def test_pi3_value_is_constant_on_each_class():
+    # cli._pi3_rows reads each class's expected value at its first residue
+    for p in (2, 3, 5, 7, 11, 13):
+        q = p_power_at_least(3, p)[1]
+        for residues in ([0], [1], [q - 1], range(2, q - 1)):
+            assert len({pi3_value(x, p) for x in residues}) <= 1, (p, residues)
+
+
 def test_periodicity():
     for p in (2, 3, 5, 7):
         for r in range(1, 21):
@@ -195,14 +221,18 @@ def test_pi_equals_reversal_product_of_descents():
                 res = jordan_result(r, s, p)
                 T = SubsetProfile(r, res.profile.descent_set())
                 assert subset_to_perm(T) == res.pi
+                assert res.epsilon == subset_to_eps(T)
+                L, R = res.profile.L, res.profile.R
+                assert res.lam.parts == tuple(r + s - 2 * n + L[n - 1] - R[n - 1]
+                                              for n in range(1, r + 1))
 
 
 def test_each_query_tests_primality_once(monkeypatch):
     calls = []
     is_prime = parith.is_prime
     monkeypatch.setattr(parith, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    for query in (jordan_result, pi_fast_path, standardness.standard_triple,
-                  standardness.equivalence_report):
+    for query in (jordan_result, lambda_of, pi_of, deviation, green.decompose, pi_fast_path,
+                  standardness.standard_triple, standardness.equivalence_report):
         for r, s, p in ((12, 20, 10**18 + 3), (24, 40, 2), (9, 30, 3), (27, 31, 3)):
             calls.clear()
             query(r, s, p)
