@@ -45,4 +45,4 @@ The set bits among delta_1..delta_{r-1} are cut points: between consecutive
 cut points the involution reverses the interval in place, which is why it
 squares to the identity.
 """)
-print("cut points:", (0,) + prof.descent_set() + (R,))
+print("cut points:", prof.cuts)

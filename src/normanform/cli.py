@@ -152,9 +152,7 @@ def cmd_group(args) -> int:
                           "blocks": [list(block) for block in ge.residue_blocks(args.r, b)]})
         return 0
     report = ge.verify_wreath(args.r, args.p, **cap)
-    payload = dataclasses.asdict(report)
-    del payload["route"]
-    _emit_json(args, {**payload, "verdict": report.verdict})
+    _emit_json(args, {**dataclasses.asdict(report), "verdict": report.verdict})
     return 0 if report.verdict else 1
 
 

@@ -8,8 +8,8 @@ corresponding permutation, and the deviation vector is constant on each interval
 The two interval maps over cut points, _reversal_images (pi(n) = lo + hi + 1 - n
 on (lo, hi]) and _deviation_entries (eps_n = r - lo - hi on (lo, hi]), are the
 only home of these formulas: subset_to_perm and subset_to_eps read them at T's
-cut points, and the delta route of `jordan` at the set bits of the delta profile,
-where lambda = s + eps is Norman's lambda and pi his involution.
+cut points, and the delta route of `jordan` at the cut points of the delta
+profile, where lambda = s + eps is Norman's lambda and pi his involution.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Determinant valuations D_n(r, s), the delta bit profile, and the gap functions L, R.
+"""Determinant valuations D_n(r, s) and the delta profile, held as its cut points.
 
 D_n(r, s) is the determinant of the n x n matrix with (i, j)-entry
 C(s+r-2n, s-n+i-j); it equals the product of binomial ratios
@@ -13,7 +13,9 @@ F(x) = (x(x-1)/2 - sum_{k<x} S_p(k)) / (p-1) with S_p the base-p digit sum,
 stepping by F(k+1) = F(k) + v_p(k!) and v_p((k+1)!) = v_p(k!) + v_p(k+1). One
 profile costs O(r + log_p s) integer operations; the huge integer D_n is never
 formed. The carry-count and exact big-integer values of D_n, independent
-routes, live with the tests as references.
+routes, live with the tests as references. The profile is held as its cut
+points, 0, r and every n in [r-1] with v_p(D_n) = 0, and only _cuts turns
+valuations into cut points.
 
 A run of consecutive s = r, r+1, ..., as one period of pi in s, reads every
 row from one table of F instead of two windows per s. The far windows of
@@ -38,23 +40,37 @@ _RUN_CHUNK = 2 ** 12
 
 @dataclass(frozen=True)
 class DeltaProfile:
-    """Bits delta_0..delta_r plus the left/right distances to the nearest set bit.
+    """The cut points 0 = t_0 < ... < t_{k+1} = r of (r, s, p), and O(r) views of them.
 
-    delta_0 = delta_r = 1 always. For n in [r], L[n-1] = L(n) is the least
-    positive d with delta_{n-d} = 1 and R[n-1] = R(n) the least nonnegative d
-    with delta_{n+d} = 1.
+    delta_0..delta_r is 1 exactly at the cut points. For n in [r], L(n) is the
+    least positive d with delta_{n-d} = 1 and R(n) the least nonnegative d with
+    delta_{n+d} = 1: on each interval (lo, hi] between consecutive cut points,
+    L(n) = n - lo and R(n) = hi - n.
     """
 
     r: int
     s: int
     p: int
-    delta: tuple[int, ...]
-    L: tuple[int, ...]
-    R: tuple[int, ...]
+    cuts: tuple[int, ...]
+
+    @property
+    def delta(self) -> tuple[int, ...]:
+        cuts = set(self.cuts)
+        return tuple(int(n in cuts) for n in range(self.r + 1))
+
+    @property
+    def L(self) -> tuple[int, ...]:
+        cuts = self.cuts
+        return tuple(d for lo, hi in zip(cuts, cuts[1:]) for d in range(1, hi - lo + 1))
+
+    @property
+    def R(self) -> tuple[int, ...]:
+        cuts = self.cuts
+        return tuple(d for lo, hi in zip(cuts, cuts[1:]) for d in range(hi - lo - 1, -1, -1))
 
     def descent_set(self) -> tuple[int, ...]:
-        """T = {i in [r-1] : delta_i = 1}."""
-        return tuple(i for i in range(1, self.r) if self.delta[i] == 1)
+        """T = {i in [r-1] : delta_i = 1}, the interior cut points."""
+        return self.cuts[1:-1]
 
 
 def _digit_sum_prefix(x: int, p: int) -> int:
@@ -108,13 +124,13 @@ def _valuations_on(r: int, s: int, p: int, near: list[int], far: list[int]) -> l
     return out
 
 
-def _bits(valuations: list[int]) -> list[int]:
-    """delta_0, ..., delta_r: 1 at both ends and wherever v_p(D_n) = 0."""
-    return [1] + [1 if v == 0 else 0 for v in valuations] + [1]
+def _cuts(valuations: list[int]) -> tuple[int, ...]:
+    """The cut points 0, r and every n with v_p(D_n) = 0, from [v_p(D_1), ..., v_p(D_{r-1})]."""
+    return (0, *[n for n, v in enumerate(valuations, 1) if v == 0], len(valuations) + 1)
 
 
-def _delta_run(r: int, p: int, count: int) -> Iterator[list[int]]:
-    """The delta bits of (r, s, p) for s = r, ..., r + count - 1 in turn, read
+def _delta_run(r: int, p: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The cut points of (r, s, p) for s = r, ..., r + count - 1 in turn, read
     from chunked tables of F as the module docstring sets out; p is a checked
     prime."""
     width = 2 * r + 1
@@ -125,23 +141,10 @@ def _delta_run(r: int, p: int, count: int) -> Iterator[list[int]]:
         if s0 == r:
             near = table[:r + 1]
         for i in range(s1 - s0):
-            yield _bits(_valuations_on(r, s0 + i, p, near, table[i:i + width]))
+            yield _cuts(_valuations_on(r, s0 + i, p, near, table[i:i + width]))
 
 
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
-    """Full delta/L/R profile for (r, s, p)."""
+    """The delta profile of (r, s, p): its cut points, from one pair of Legendre windows."""
     p = check_rsp(r, s, p)
-    delta = _bits(_valuations(r, s, p))
-    L = [0] * r
-    R = [0] * r
-    last_one = 0
-    for n in range(1, r + 1):
-        L[n - 1] = n - last_one
-        if delta[n] == 1:
-            last_one = n
-    next_one = r
-    for n in range(r, 0, -1):
-        if delta[n] == 1:
-            next_one = n
-        R[n - 1] = next_one - n
-    return DeltaProfile(r, s, p, tuple(delta), tuple(L), tuple(R))
+    return DeltaProfile(r, s, p, _cuts(_valuations(r, s, p)))

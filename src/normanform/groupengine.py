@@ -247,7 +247,10 @@ class GroupReport:
     phi_image_is_dihedral: bool
     diagonal_contained: bool
     l9_transposition_found: bool
-    route: str
+
+    @property
+    def route(self) -> str:
+        return "certificate" if self.order is not None else "uncertified"
 
     @property
     def verdict(self) -> bool:
@@ -405,5 +408,4 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
         phi_image_is_dihedral=phi_ok,
         diagonal_contained=order is not None,
         l9_transposition_found=l9_ok,
-        route="certificate" if order is not None else "uncertified",
     )

@@ -3,8 +3,8 @@ product of unipotent Jordan blocks, its Norman permutation pi(r, s, p), and the
 deviation vector, all via the delta route; plus a fast path, pi_fast_path, that
 reads pi off a base-p recursion for lambda with no Legendre sums.
 
-The delta route ends at the cut points 0 = t_0 < ... < t_{k+1} = r, the set bits
-of delta_0..delta_r, and reads everything from the two interval maps of `corr`.
+The delta route ends at the cut points 0 = t_0 < ... < t_{k+1} = r of the delta
+profile, and reads everything from the two interval maps of `corr`.
 On each interval (lo, hi], lo = n - L(n) and hi = n + R(n), so
 lambda_n = s + eps_n = s + r - lo - hi is Norman's r + s - 2n + L(n) - R(n), and
 pi(n) = r + 1 - n + s - lambda_n = lo + hi + 1 - n reverses the interval. As
@@ -27,8 +27,7 @@ p-power >= r; the first step that applies is taken:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import corr, delta
 from .corr import DeviationVector
@@ -84,52 +83,43 @@ class JordanResult:
     method: str
 
 
-def _cut_points(bits: Sequence[int]) -> list[int]:
-    """The cut points 0 = t_0 < ... < t_{k+1} = r: the set bits of delta_0..delta_r."""
-    return list(compress(range(len(bits)), bits))
-
-
 def lambda_of(r: int, s: int, p: int) -> Partition:
     """The Jordan partition of rs with exactly r parts: lambda_n = s + eps_n."""
-    cuts = _cut_points(delta_profile(r, s, p).delta)
-    return Partition(tuple(s + e for e in corr._deviation_entries(cuts)))
+    return Partition(tuple(s + e for e in corr._deviation_entries(delta_profile(r, s, p).cuts)))
 
 
 def pi_of(r: int, s: int, p: int) -> Permutation:
     """The Norman permutation n -> lo + hi + 1 - n on (lo, hi]; an involution or the identity."""
-    return Permutation(corr._reversal_images(_cut_points(delta_profile(r, s, p).delta)))
+    return Permutation(corr._reversal_images(delta_profile(r, s, p).cuts))
 
 
 def _pi_run(r: int, p: int, count: int) -> list[Permutation]:
     """pi(r, s, p) for s = r, ..., r + count - 1, read from one chunked Legendre
-    table (`delta._delta_run`). The bits determine pi, so keying on them gives
-    one Permutation per distinct value. Uncapped: the work is r * count."""
+    table (`delta._delta_run`). The cut points determine pi, so keying on them
+    gives one Permutation per distinct value. Uncapped: the work is r * count."""
     p = ensure_prime(p)
     shared: dict[tuple[int, ...], Permutation] = {}
     out = []
-    for bits in delta._delta_run(r, p, count):
-        key = tuple(bits)
-        g = shared.get(key)
+    for cuts in delta._delta_run(r, p, count):
+        g = shared.get(cuts)
         if g is None:
-            g = shared[key] = Permutation(corr._reversal_images(_cut_points(bits)))
+            g = shared[cuts] = Permutation(corr._reversal_images(cuts))
         out.append(g)
     return out
 
 
 def deviation(r: int, s: int, p: int) -> DeviationVector:
     """The deviation vector (lambda_1 - s, ..., lambda_r - s)."""
-    cuts = _cut_points(delta_profile(r, s, p).delta)
-    return DeviationVector(tuple(corr._deviation_entries(cuts)))
+    return DeviationVector(tuple(corr._deviation_entries(delta_profile(r, s, p).cuts)))
 
 
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
     """Assemble lambda, pi and epsilon for (r, s, p) from the cut points of one delta profile."""
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
-    cuts = _cut_points(prof.delta)
-    entries = corr._deviation_entries(cuts)
+    entries = corr._deviation_entries(prof.cuts)
     lam = Partition(tuple(s + e for e in entries))
-    pi = Permutation(corr._reversal_images(cuts))
+    pi = Permutation(corr._reversal_images(prof.cuts))
     return JordanResult(r, s, p, lam, pi, DeviationVector(tuple(entries)), prof, "delta-route")
 
 

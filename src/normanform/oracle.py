@@ -1,46 +1,45 @@
 """Rank-based ground truth for Jordan partitions over GF(p).
 
-`oracle_lambda` and `oracle_nilpotent` read the Jordan type from the ranks of
-the powers of the nilpotent part, computed degree by degree as below.
+`oracle_lambda` reads the Jordan type from the ranks of the powers of the
+nilpotent part, computed degree by degree as below. N_r (x) N_s is
+multiplication by xy on GF(p)[x, y]/(x^r, y^s), and (xy)^k x^i y^j =
+x^(i+k) y^(j+k), so `oracle_nilpotent` counts rank (xy)^k = (r-k)(s-k), r <= s.
 
 Change of basis. J_r is multiplication by 1+x on GF(p)[x]/(x^r), so
 J_r (x) J_s - I is multiplication by (1+x)(1+y) - 1 = x + y + xy on
 R = GF(p)[x, y]/(x^r, y^s). Put Y = (1+x)y. Since 1+x is a unit,
 (x^r, y^s) = (x^r, Y^s), so R = GF(p)[x, Y]/(x^r, Y^s) with the monomials
 x^i Y^j (i < r, j < s) as a basis, and the map is multiplication by f = x + Y.
-N_r (x) N_s is multiplication by f = xy in the original variables.
 
-Grading. Both maps are homogeneous, f = x + Y of degree 1 and f = xy of
-degree 2, so f^k maps the degree-d part R_d into R_{d + k deg f} and rank f^k
-is the sum of the ranks of these blocks. Index R_d by the exponent i of x,
-a <= i <= b with a = max(0, d-s+1) and b = min(d, r-1): a block has at most
-min(r, s) = r rows and columns. Its (i, i') entry is the coefficient of
-x^(i'-i) in f^k, which is C(k, i'-i) mod p for x + Y, and 1 at i'-i = k
-(0 elsewhere) for xy. No entry has an offset i'-i above r-1, and every degree
-d from r-1 to s-1-k deg f gives the same full r x r block, ranked once.
+Grading. f is homogeneous of degree 1, so f^k maps the degree-d part R_d into
+R_{d+k} and rank f^k is the sum of the ranks of these blocks. Index R_d by the
+exponent i of x, a <= i <= b with a = max(0, d-s+1) and b = min(d, r-1): a
+block has at most min(r, s) = r rows and columns. Its (i, i') entry is the
+coefficient of x^(i'-i) in f^k, which is C(k, i'-i) mod p. No entry has an
+offset i'-i above r-1, and every degree d from r-1 to s-1-k gives the same
+full r x r block, ranked once.
 
 Degree duality. The pairing <u, v> = coefficient of the socle x^(r-1) Y^(s-1)
 in uv is nondegenerate and pairs R_d with R_{top-d}, top = r+s-2, and
 <fu, v> = <u, fv>. So the block of f^k at degree d is the transpose of the
-block at degree top - d - k deg f, and only the lower degree of each pair is
+block at degree top - d - k, and only the lower degree of each pair is
 ranked. A power is ranked only while f^k != 0, that is while some nonzero
-coefficient of x^t sits at t >= k deg f - s + 1, where the monomial survives.
+coefficient of x^t sits at t >= k - s + 1, where the monomial survives.
 
-Lower-half blocks. For d <= (top - k deg f)/2 we have d <= s-1, so a = 0, and
-row i <= b has no entry past column i + k deg f <= d + k deg f, so the bound
-e is vacuous: the block is rows 0..b by columns c..r-1 of one r x r upper
-triangular Toeplitz matrix T_k[i, i'] = coef_k[i'-i]. Reversing the columns
-of T_k turns every such block into a leading (row-prefix by column-prefix)
-rectangle.
+Lower-half blocks. For d <= (top - k)/2 we have d <= s-1, so a = 0, and row
+i <= b has no entry past column i + k <= d + k, so the bound e is vacuous: the
+block is rows 0..b by columns c..r-1 of one r x r upper triangular Toeplitz
+matrix T_k[i, i'] = coef_k[i'-i]. Reversing the columns of T_k turns every
+such block into a leading (row-prefix by column-prefix) rectangle.
 
 Closed rules. Two rules rank a block without elimination. If coef_k has one
-nonzero offset t (always so for xy), the rank is the number of entries of
-that diagonal inside the block. If the lowest or highest nonzero offset t
-puts the shifted rows [a+t, b+t] inside the columns [c, e], the columns i+t
-form a triangular square with that coefficient on its diagonal, so the block
-has full row rank. The mirror test on columns adds nothing: in the lower
-half R_{d + k deg f} is at least as large as R_d, so a block that the column
-test accepts is square, and then the row test holds with the same t.
+nonzero offset t, the rank is the number of entries of that diagonal inside
+the block. If the lowest or highest nonzero offset t puts the shifted rows
+[a+t, b+t] inside the columns [c, e], the columns i+t form a triangular square
+with that coefficient on its diagonal, so the block has full row rank. The
+mirror test on columns adds nothing: in the lower half R_{d+k} is at least as
+large as R_d, so a block that the column test accepts is square, and then the
+row test holds with the same t.
 
 Rank profile. The powers with a block left over are eliminated together,
 once each: the distinct coefficient vectors (equal vectors give equal
@@ -70,7 +69,6 @@ checks the oracle against the dense reference.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -151,33 +149,30 @@ def _rank_profiles(coefs: np.ndarray, p: int) -> np.ndarray:
     return pivots.cumsum(axis=1).cumsum(axis=2)[:, :, ::-1]
 
 
-def _graded_ranks(r: int, s: int, p: int, deg: int,
-                  power: Callable[[int, int], list[int]]) -> list[int]:
-    """Ranks of f, f^2, ... down to (and excluding) 0 for multiplication by a
-    homogeneous f of degree deg on GF(p)[x, y]/(x^r, y^s), r <= s.
+def _graded_ranks(r: int, s: int, p: int) -> list[int]:
+    """Ranks of f, f^2, ... down to (and excluding) 0 for multiplication by
+    f = x + Y on GF(p)[x, Y]/(x^r, Y^s), r <= s.
 
-    power(k, w) lists the coefficients mod p of x^t (times the matching power
-    of the other variable) in f^k for t = 0..w; w stops at r - 1, the largest
-    offset a block entry can have. See the module docstring for the blocks,
-    the middle run of equal blocks, the duality, the closed rules and the
-    stacked elimination of the powers they leave over.
+    A block entry has offset at most r - 1, so only the coefficients
+    C(k, t) mod p of x^t in f^k for t <= min(k, r - 1) are formed. See the
+    module docstring for the blocks, the middle run of equal blocks, the
+    duality, the closed rules and the stacked elimination of the powers they
+    leave over.
     """
     top = r + s - 2
     ranks: list[int] = []
     slots: dict[tuple[int, ...], int] = {}
     pending: list[tuple[int, int, int, int, int]] = []
-    for k in range(1, top // deg + 1):
-        shift = k * deg
-        coef = power(k, min(shift, r - 1))
+    for k in range(1, top + 1):
+        coef = [comb(k, t) % p for t in range(min(k, r - 1) + 1)]
         nonzero = [t for t, v in enumerate(coef) if v]
-        if not nonzero or nonzero[-1] < shift - s + 1:
+        if not nonzero or nonzero[-1] < k - s + 1:
             break
         lo, hi = nonzero[0], nonzero[-1]
-        middle = s - r - shift + 1
+        middle = s - r - k + 1
         blocks = [(middle, r - 1, 0, r - 1)] if middle > 0 else []
-        blocks += [(1 if 2 * d + shift == top else 2, d, max(0, d + shift - s + 1),
-                    min(d + shift, r - 1))
-                   for d in range(min(r - 2, (top - shift) // 2) + 1)]
+        blocks += [(1 if 2 * d + k == top else 2, d, max(0, d + k - s + 1), min(d + k, r - 1))
+                   for d in range(min(r - 2, (top - k) // 2) + 1)]
         total = 0
         for weight, b, c, e in blocks:
             rank = _closed_rank(lo, hi, b, c, e)
@@ -208,8 +203,7 @@ def oracle_lambda(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
     p = check_rsp(r, s, p)
     _check_cap(r * s, cap)
     _check_int64(p)
-    ranks = _graded_ranks(r, s, p, 1, lambda k, w: [comb(k, t) % p for t in range(w + 1)])
-    part = _partition_from_ranks(r * s, ranks)
+    part = _partition_from_ranks(r * s, _graded_ranks(r, s, p))
     assert len(part) == r
     return part
 
@@ -218,8 +212,7 @@ def oracle_nilpotent(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partitio
     """The Jordan partition of N_r (x) N_s over GF(p) (includes the zero eigenvalue blocks)."""
     p = check_rsp(r, s, p)
     _check_cap(r * s, cap)
-    ranks = _graded_ranks(r, s, p, 2, lambda k, w: [int(t == k) for t in range(w + 1)])
-    return _partition_from_ranks(r * s, ranks)
+    return _partition_from_ranks(r * s, [(r - k) * (s - k) for k in range(1, r)])
 
 
 def nilpotent_mu(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:

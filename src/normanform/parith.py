@@ -10,7 +10,6 @@ and helpers pass the returned p down rather than keeping unchecked twins.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 
@@ -99,9 +98,7 @@ def p_parts(r: int, p: int) -> PPartDecomposition:
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
     e = p_adic_valuation(r, p)
-    d = PPartDecomposition(r, r // p**e, p**e, e)
-    assert d.a * d.b == r and gcd(d.a, p) == 1
-    return d
+    return PPartDecomposition(r, r // p**e, p**e, e)
 
 
 def p_power_at_least(r: int, p: int) -> tuple[int, int]:

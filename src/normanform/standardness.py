@@ -9,7 +9,7 @@ from typing import Optional
 
 from . import corr
 from .delta import delta_profile
-from .jordan import Partition, _cut_points
+from .jordan import Partition
 from .parith import check_rsp, p_power_at_least
 from .perm import Permutation
 
@@ -123,17 +123,16 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
     """
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
-    cuts = _cut_points(prof.delta)
     triple = standard_triple(r, s, p)
     report = EquivalenceReport(
         r, s, p,
         standard_partition=standard_partition(
-            Partition(tuple(s + e for e in corr._deviation_entries(cuts))), r, s),
-        identity_permutation=Permutation(corr._reversal_images(cuts)).is_identity(),
+            Partition(tuple(s + e for e in corr._deviation_entries(prof.cuts))), r, s),
+        identity_permutation=Permutation(corr._reversal_images(prof.cuts)).is_identity(),
         standard_triple=triple.verdict,
         all_left_gaps_one=all(v == 1 for v in prof.L),
         all_right_gaps_zero=all(v == 0 for v in prof.R),
-        all_delta_one=all(prof.delta[n] == 1 for n in range(1, r + 1)),
+        all_delta_one=all(prof.delta),
         triple=triple,
     )
     conditions = report.conditions()

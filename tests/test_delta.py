@@ -77,15 +77,22 @@ def test_valuation_equals_exact_valuation_small():
 
 
 def test_descent_set_reconstructs_gaps():
+    # delta from the zeros of the valuations, L and R by their least-d definitions:
+    # none of it read from the cut points the profile holds
     for p in (2, 3, 5):
         for r in range(1, 21):
             for s in range(r, 21):
+                delta = (1, *(int(v == 0) for v in _valuations(r, s, p)), 1)
+                L = tuple(next(d for d in range(1, n + 1) if delta[n - d])
+                          for n in range(1, r + 1))
+                R = tuple(next(d for d in range(r - n + 1) if delta[n + d])
+                          for n in range(1, r + 1))
+                cuts = tuple(n for n in range(r + 1) if delta[n])
                 prof = delta_profile(r, s, p)
-                cuts = (0,) + prof.descent_set() + (r,)
-                for lo, hi in zip(cuts, cuts[1:]):
-                    for n in range(lo + 1, hi + 1):
-                        assert prof.L[n - 1] == n - lo
-                        assert prof.R[n - 1] == hi - n
+                assert prof.delta == delta, (r, s, p)
+                assert prof.L == L and prof.R == R, (r, s, p)
+                assert prof.cuts == cuts, (r, s, p)
+                assert prof.descent_set() == tuple(i for i in range(1, r) if delta[i]), (r, s, p)
 
 
 @settings(max_examples=150, deadline=None)
