@@ -55,6 +55,10 @@ changes no later pivot, since the other rows evolve as before. Rows are
 updated fraction-free, row * pivot - factor * pivotrow (mod p), so no
 inverse is needed; each product, and so their difference, is at most
 (p-1)^2 in size, whatever the dimension, which _check_int64 keeps below 2^63.
+numpy is imported here, at the first call that leaves a block to eliminate,
+and not when the module loads: the package imports this module, and numpy's
+import was most of every process's start-up, though only the elimination
+builds arrays.
 
 What this shares with the delta route: the entries are binomials mod p, and
 D_n(r, s) is the determinant of the square degree-(n-1) block of
@@ -69,11 +73,13 @@ checks the oracle against the dense reference.
 from __future__ import annotations
 
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .jordan import Partition
 from .parith import check_rsp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 4096
 # entries of one stacked elimination: a cell within the default cap stacks at most
@@ -131,6 +137,8 @@ def _rank_profiles(coefs: np.ndarray, p: int) -> np.ndarray:
     Returns counts of shape (K, r, r): counts[k, b, c] is the rank of rows 0..b by
     columns c..r-1 of the k-th matrix. See the module docstring for the pivots.
     """
+    import numpy as np
+
     K, r = coefs.shape
     offset = r - 1 - np.add.outer(np.arange(r), np.arange(r))
     # A[j, k] is column j of the k-th matrix with its columns reversed
@@ -185,6 +193,8 @@ def _graded_ranks(r: int, s: int, p: int) -> list[int]:
             total += weight * rank
         ranks.append(total)
     if pending:
+        import numpy as np
+
         index, slot, weight, b, c = (np.array(v, dtype=np.int64) for v in zip(*pending))
         stack = np.array(list(slots), dtype=np.int64)
         block_rank = np.empty_like(index)

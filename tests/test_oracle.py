@@ -168,17 +168,36 @@ def test_rank_matches_exact_elimination_at_large_prime():
 
 
 def test_package_import_skips_scipy():
-    code = ("import sys, normanform.cli\n"
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy())\n"
-            "print(normanform.oracle_lambda(3, 4, 2).parts)\n"
-            "print(scipy())\n")
+    # one subprocess: scipy never loads, and numpy loads only at the oracle's first
+    # elimination, so every command that does not eliminate starts without it;
+    # (3, 3, 2) is the first cell with r <= s <= 21, p in {2, 3, 5, 7} that eliminates
+    commands = [["pi", "--r", "5", "--s", "7", "--p", "3"],
+                ["lambda", "--r", "4", "--s", "9", "--p", "2"],
+                ["standard", "--r", "8", "--s", "12", "--p", "5"],
+                ["delta", "--r", "6", "--s", "10", "--p", "3"],
+                ["green", "--r", "3", "--s", "5", "--p", "2"],
+                ["group", "--verify", "--r", "12", "--p", "3"],
+                ["group", "--census", "--r", "6", "--p", "2"],
+                ["table", "--name", "pi3"],
+                ["sweep", "--checks", "six-way,involution,fast-path,wreath",
+                 "--rmax", "4", "--primes", "2,3"],
+                ["oracle", "--kind", "nilpotent", "--r", "7", "--s", "9", "--p", "2"]]
+    code = ("import contextlib, io, sys, normanform.cli\n"
+            "loaded = lambda: sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})\n"
+            "print(loaded())\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = normanform.cli.main(argv)\n"
+            "    print(argv[0], code, loaded())\n"
+            "print(normanform.oracle_lambda(3, 3, 2).parts)\n"
+            "print(loaded())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "(4, 4, 4)", "[]"]
+    assert proc.stdout.splitlines() == (["[]"] + [f"{argv[0]} 0 []" for argv in commands]
+                                        + ["(4, 4, 1)", "['numpy']"])
 
 
 def test_jcf_of_permuted_jordan_nilpotent():
