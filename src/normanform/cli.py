@@ -78,11 +78,13 @@ def _grid(args) -> tuple[int, tuple[int, ...]]:
 
 
 def _cell_query(r, s, p, args):
+    if not args.json:  # the text line reads only the value it prints
+        if args.command == "lambda":
+            return None, " ".join(map(str, jordan.lambda_of(r, s, p).parts))
+        return None, format_cycles(jordan.pi_of(r, s, p))
     res = jordan.jordan_result(r, s, p)
-    pi = format_cycles(res.pi)
-    return ({"lambda": list(res.lam.parts), "pi": pi,
-             "epsilon": list(res.epsilon.entries), "method": res.method},
-            " ".join(map(str, res.lam.parts)) if args.command == "lambda" else pi)
+    return {"lambda": list(res.lam.parts), "pi": format_cycles(res.pi),
+            "epsilon": list(res.epsilon.entries), "method": res.method}, None
 
 
 def _cell_standard(r, s, p, args):
@@ -112,7 +114,8 @@ def _cell_green(r, s, p, args):
 
 # name -> (help, cell, has_text). cell(r, s, p, args), with r <= s, returns the payload
 # fields after r, s, p and the text line, or None for the JSON-only commands
-# (has_text False); the others print the line unless --json is given.
+# (has_text False); the others print the line unless --json is given. A cell may
+# return None for whichever of the two is not emitted.
 _CELLS = {
     "lambda": ("Jordan partition of J_r (x) J_s over GF(p)", _cell_query, True),
     "pi": ("the Norman permutation in cycle notation", _cell_query, True),
@@ -188,21 +191,19 @@ def cmd_corr(args) -> int:
 def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
     """Rows (class, value, status) of the small-r table for one prime, over one period q
     in s: the delta route at three s per residue, read from one run of 3q values of s
-    from s = 3, compared against jordan.pi3_value at the class's first residue (the
-    tests check that pi3_value is constant on each class)."""
+    from s = 3, compared against the value of each class of jordan.pi3_classes."""
     q = p_power_at_least(3, p)[1]
     run = jordan._pi_run(3, p, 3 * q)  # run[s - 3] = pi(3, s, p)
     rows = []
     ok = True
-    classes = [("0", [0]), ("1", [1]), ("-1", [q - 1]), ("otherwise", range(2, q - 1))]
-    for label, residues in classes:
+    for label, residues, value in jordan.pi3_classes(p):
         if not residues:
             rows.append((label, "()", "vacuous"))
             continue
         starts = [x if x >= 3 else x + q for x in residues]
         values = {run[s - 3] for s0 in starts for s in (s0, s0 + q, s0 + 2 * q)}
-        if values == {jordan.pi3_value(residues[0], p)}:
-            rows.append((label, format_cycles(values.pop()), "ok"))
+        if values == {value}:
+            rows.append((label, format_cycles(value), "ok"))
         else:
             ok = False
             rows.append((label, "|".join(sorted(format_cycles(v) for v in values)), "FAIL"))
@@ -358,11 +359,11 @@ def cmd_sweep(args) -> int:
         csv.writer(buf, lineterminator="\n").writerows([columns, *records])
         _emit(args, buf.getvalue())
     elif args.format == "json":
-        _emit_json(args, {"summary": _sweep_summary(rows),
+        _emit_json(args, {"summary": _sweep_summary(checks, rows),
                           "rows": [dict(zip(columns, rec)) for rec in records]})
     else:
         lines = []
-        for name, info in _sweep_summary(rows).items():
+        for name, info in _sweep_summary(checks, rows).items():
             lines.append(f"{name}: {info['passed']}/{info['cells']} passed"
                          + (f"; first failure {info['first_failure']}"
                             if info["first_failure"] else ""))
@@ -370,10 +371,13 @@ def cmd_sweep(args) -> int:
     return 0 if all(row[4] for row in rows) else 1
 
 
-def _sweep_summary(rows):
-    summary: dict[str, dict] = {}
+def _sweep_summary(checks, rows):
+    """Cells, passes and the first failure of each requested check, in name order; a
+    check with no cells reads 0/0."""
+    summary = {name: {"cells": 0, "passed": 0, "first_failure": None}
+               for name in sorted(checks)}
     for r, s, p, check, okay, detail in rows:
-        info = summary.setdefault(check, {"cells": 0, "passed": 0, "first_failure": None})
+        info = summary[check]
         info["cells"] += 1
         if okay:
             info["passed"] += 1

@@ -54,12 +54,10 @@ class PermGroup:
         if degree > cap:
             raise DegreeCapExceeded(f"degree {degree} exceeds cap {cap}")
         self.degree = degree
-        self.generators: list[Permutation] = []
         self._levels: list[_Level] = []
         for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-            self.generators.append(g)
             self._add_generator(g)
         self._schreier_sims()
 

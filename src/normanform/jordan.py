@@ -27,7 +27,7 @@ p-power >= r; the first step that applies is taken:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 from . import corr, delta
 from .corr import DeviationVector
@@ -80,7 +80,7 @@ class JordanResult:
     pi: Permutation
     epsilon: DeviationVector
     profile: DeltaProfile
-    method: str
+    method: ClassVar[str] = "delta-route"
 
 
 def lambda_of(r: int, s: int, p: int) -> Partition:
@@ -120,7 +120,7 @@ def jordan_result(r: int, s: int, p: int) -> JordanResult:
     entries = corr._deviation_entries(prof.cuts)
     lam = Partition(tuple(s + e for e in entries))
     pi = Permutation(corr._reversal_images(prof.cuts))
-    return JordanResult(r, s, p, lam, pi, DeviationVector(tuple(entries)), prof, "delta-route")
+    return JordanResult(r, s, p, lam, pi, DeviationVector(tuple(entries)), prof)
 
 
 @dataclass(frozen=True)
@@ -164,18 +164,21 @@ def _lam(r: int, s: int, p: int) -> tuple[str, list[int]]:
     return "digits", out + [m * Q for m in middle for _ in range(abs(s1 - r1))]
 
 
-def pi3_value(s: int, p: int) -> Permutation:
-    """pi(3, s, p) from the small-r table, read at s mod its period q in s, the least
-    p-power >= 3 (p^2 for p = 2, else p)."""
+def pi3_classes(p: int) -> list[tuple[str, range, Permutation]]:
+    """(label, residues, value) for each class of s mod q in the small-r table of
+    pi(3, s, p), where q, the least p-power >= 3 (p^2 for p = 2, else p), is its
+    period in s. The "otherwise" class is empty for p = 3."""
     q = p_power_at_least(3, p)[1]
-    x = s % q
-    if x == 0:
-        return rev(1, 3, 3)
-    if x == 1:
-        return rev(2, 3, 3)
-    if x == q - 1:
-        return transposition(1, 2, 3)
-    return identity(3)
+    return [("0", range(0, 1), rev(1, 3, 3)), ("1", range(1, 2), rev(2, 3, 3)),
+            ("-1", range(q - 1, q), transposition(1, 2, 3)),
+            ("otherwise", range(2, q - 1), identity(3))]
+
+
+def pi3_value(s: int, p: int) -> Permutation:
+    """pi(3, s, p): the value of the class in pi3_classes that holds s mod q."""
+    p = ensure_prime(p)
+    x = s % p_power_at_least(3, p)[1]
+    return next(value for _, residues, value in pi3_classes(p) if x in residues)
 
 
 class SmallResidueForm(NamedTuple):

@@ -84,33 +84,21 @@ def standard_partition(lam: Partition, r: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The six standardness conditions, and the congruence-criterion report behind
-    the standard_triple one."""
+    """The six standardness conditions as ordered (name, value) pairs, and the
+    congruence-criterion report behind the standard_triple one."""
 
     r: int
     s: int
     p: int
-    standard_partition: bool
-    identity_permutation: bool
-    standard_triple: bool
-    all_left_gaps_one: bool
-    all_right_gaps_zero: bool
-    all_delta_one: bool
+    pairs: tuple[tuple[str, bool], ...]
     triple: StandardnessReport
 
     def conditions(self) -> dict[str, bool]:
-        return {
-            "standard_partition": self.standard_partition,
-            "identity_permutation": self.identity_permutation,
-            "standard_triple": self.standard_triple,
-            "all_left_gaps_one": self.all_left_gaps_one,
-            "all_right_gaps_zero": self.all_right_gaps_zero,
-            "all_delta_one": self.all_delta_one,
-        }
+        return dict(self.pairs)
 
     @property
     def verdict(self) -> bool:
-        return self.standard_partition
+        return self.conditions()["standard_partition"]
 
 
 def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
@@ -124,18 +112,15 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
     triple = standard_triple(r, s, p)
-    report = EquivalenceReport(
-        r, s, p,
-        standard_partition=standard_partition(
-            Partition(tuple(s + e for e in corr._deviation_entries(prof.cuts))), r, s),
-        identity_permutation=Permutation(corr._reversal_images(prof.cuts)).is_identity(),
-        standard_triple=triple.verdict,
-        all_left_gaps_one=all(v == 1 for v in prof.L),
-        all_right_gaps_zero=all(v == 0 for v in prof.R),
-        all_delta_one=all(prof.delta),
-        triple=triple,
-    )
-    conditions = report.conditions()
-    if len(set(conditions.values())) != 1:
-        raise EquivalenceViolation(r, s, p, conditions)
+    lam = Partition(tuple(s + e for e in corr._deviation_entries(prof.cuts)))
+    report = EquivalenceReport(r, s, p, (
+        ("standard_partition", standard_partition(lam, r, s)),
+        ("identity_permutation", Permutation(corr._reversal_images(prof.cuts)).is_identity()),
+        ("standard_triple", triple.verdict),
+        ("all_left_gaps_one", all(v == 1 for v in prof.L)),
+        ("all_right_gaps_zero", all(v == 0 for v in prof.R)),
+        ("all_delta_one", all(prof.delta)),
+    ), triple)
+    if len({value for _, value in report.pairs}) != 1:
+        raise EquivalenceViolation(r, s, p, report.conditions())
     return report

@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from normanform import parith, standardness
 from normanform.cli import main
 
@@ -392,6 +394,34 @@ def test_cell_cli_golden(capsys):
     # --json and swapped, with bad p, r = 0 and flags a command lacks; oracle --kind and
     # --cap; every group mode with its errors; and corr from each of its three inputs
     check_jsonl_golden(capsys, "cell_cli.jsonl")
+
+
+def test_sweep_reports_a_check_with_no_cells(capsys):
+    # wreath starts at r = 2, so --rmax 1 gives it no cells
+    grid = ("--rmax", "1", "--primes", "2")
+    assert run(capsys, "sweep", "--checks", "wreath", *grid) == (0, "wreath: 0/0 passed\n")
+    assert run(capsys, "sweep", "--checks", "wreath,six-way", *grid) == (
+        0, "six-way: 2/2 passed\nwreath: 0/0 passed\n")
+    code, payload = run_json(capsys, "sweep", "--checks", "six-way,wreath", *grid,
+                             "--format", "json")
+    assert code == 0 and list(payload["summary"]) == ["six-way", "wreath"]
+    assert payload["summary"]["wreath"] == {"cells": 0, "passed": 0, "first_failure": None}
+    assert {row["check"] for row in payload["rows"]} == {"six-way"}
+    assert run(capsys, "sweep", "--checks", "wreath", *grid, "--format", "csv") == (
+        0, "r,s,p,check,status,detail\n")
+
+
+def test_text_queries_skip_jordan_result(capsys, monkeypatch):
+    from normanform import jordan
+
+    def refuse(*args):
+        raise AssertionError("jordan_result was called")
+
+    monkeypatch.setattr(jordan, "jordan_result", refuse)
+    assert run(capsys, "lambda", "--r", "9", "--s", "5", "--p", "2") == (0, "13 8 8 8 8\n")
+    assert run(capsys, "pi", "--r", "5", "--s", "9", "--p", "2") == (0, "(2,5)(3,4)\n")
+    with pytest.raises(AssertionError, match="jordan_result"):
+        main(["pi", "--r", "5", "--s", "9", "--p", "2", "--json"])
 
 
 def test_sweep_runs_a_repeated_check_once(capsys):

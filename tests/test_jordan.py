@@ -155,12 +155,12 @@ def test_interval_maps_have_one_home(monkeypatch):
     assert format_cycles(pi_fast_path(5, 12, 3).perm) == "(1,2)(4,5)"
 
 
-def test_pi3_value_is_constant_on_each_class():
-    # cli._pi3_rows reads each class's expected value at its first residue
+def test_pi3_value_matches_the_delta_route():
+    # the table pi3 golden stops at p = 7
     for p in (2, 3, 5, 7, 11, 13):
         q = p_power_at_least(3, p)[1]
-        for residues in ([0], [1], [q - 1], range(2, q - 1)):
-            assert len({pi3_value(x, p) for x in residues}) <= 1, (p, residues)
+        for s in range(3, 3 + 3 * q):
+            assert pi3_value(s, p) == pi_of(3, s, p), (s, p)
 
 
 def test_periodicity():
