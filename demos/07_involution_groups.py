@@ -7,6 +7,8 @@ involutions permute the residue classes mod b like reflections of a b-gon,
 and within the classes they realise every permutation diagonally.
 """
 
+from math import factorial
+
 from normanform import (generator_census, group_generators, phi_image, residue_blocks,
                         verify_wreath)
 from normanform.groupengine import PermGroup, expected_wreath_order
@@ -39,3 +41,8 @@ for r in range(2, 13):
         g = verify_wreath(r, p)
         cells.append(f"{g.order}{'' if g.verdict else '!'}")
     print(f"{r:>3}  " + "  ".join(f"{c:<8}" for c in cells))
+
+# at a ten-digit prime the window lemma reads one period at 2r cells, not p cells
+big = verify_wreath(40, 10**9 + 7)
+print(f"\n(r, p) = (40, 10^9+7): {big.generator_count} generators, "
+      f"order == 40!: {big.order == factorial(40)}, verdict: {big.verdict}")

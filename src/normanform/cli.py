@@ -19,7 +19,7 @@ from . import corr as corr_mod
 from . import green as green_mod
 from . import groupengine as ge
 from . import jordan, oracle, standardness
-from .delta import delta_profile
+from .delta import _period_cells, delta_profile
 from .parith import ensure_prime, p_parts, p_power_at_least
 from .perm import format_cycles, parse_cycles
 
@@ -189,19 +189,20 @@ def cmd_corr(args) -> int:
 
 
 def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
-    """Rows (class, value, status) of the small-r table for one prime, over one period q
-    in s: the delta route at three s per residue, read from one run of 3q values of s
-    from s = 3, compared against the value of each class of jordan.pi3_classes."""
+    """Rows (class, value, status) of the small-r table for one prime: the delta
+    route at s, s + q and s + 2q for each cell s of delta._period_cells(3, p), which
+    take every value over one period q in s, compared against the value of each
+    class of jordan.pi3_classes."""
     q = p_power_at_least(3, p)[1]
-    run = jordan._pi_run(3, p, 3 * q)  # run[s - 3] = pi(3, s, p)
+    cells = _period_cells(3, p)
     rows = []
     ok = True
     for label, residues, value in jordan.pi3_classes(p):
         if not residues:
             rows.append((label, "()", "vacuous"))
             continue
-        starts = [x if x >= 3 else x + q for x in residues]
-        values = {run[s - 3] for s0 in starts for s in (s0, s0 + q, s0 + 2 * q)}
+        values = {jordan.pi_of(3, s + k * q, p) for s in cells if s % q in residues
+                  for k in range(3)}
         if values == {value}:
             rows.append((label, format_cycles(value), "ok"))
         else:

@@ -17,13 +17,20 @@ routes, live with the tests as references. The profile is held as its cut
 points, 0, r and every n in [r-1] with v_p(D_n) = 0, and only _cuts turns
 valuations into cut points.
 
-A run of consecutive s = r, r+1, ..., as one period of pi in s, reads every
-row from one table of F instead of two windows per s. The far windows of
-s0 <= s < s1 all lie in [s0-r, s1-1+r], and at s = r the far window starts
-at 0, so the head of the first table, F on [0, r], is also the near window of
-every s. The table is built in chunks of _RUN_CHUNK values of s, so a run's
-extra memory is O(r + _RUN_CHUNK) whatever its length; neighbouring chunks
-overlap in 2r entries of F.
+One period of pi in s needs far fewer cells than its p^m values of s. Pair
+the n terms of the two sums of v_p(k!) in the s-dependent part
+[F(s+r-n) - F(s+r-2n)] - [F(s) - F(s-n)]: it equals the sum over j < n of
+the v_p(t) for t in [s-n+j+1, s+r-2n+j], all inside the window
+[s-r+2, s+r-2]. So the cut points depend only on the p-adic valuations of
+the 2r-3 integers of that window (the window lemma), and every s whose
+window misses pZ has the same cut points. For p >= 2r-1 the period is p,
+each window holds at most one multiple of p, and the 2r cells
+s in [p-r+1, p+r] take every value of the period: they hold the s within
+r-2 of p and window-free cells on both sides of them. Otherwise the period
+p^m is below p*r < 2r^2. _period_cells returns the shorter of the two, and
+_delta_run reads a run of cells from one table of F: the far windows of the
+run lie in [start-r, stop-1+r], and when the run starts at s = r the
+table's head, F on [0, r], is also the near window of every s.
 """
 
 from __future__ import annotations
@@ -31,11 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .parith import check_rsp
-
-# values of s per Legendre table in a run of s: a table holds _RUN_CHUNK + 2r
-# entries of F
-_RUN_CHUNK = 2 ** 12
+from .parith import check_rsp, p_power_at_least
 
 
 @dataclass(frozen=True)
@@ -129,19 +132,23 @@ def _cuts(valuations: list[int]) -> tuple[int, ...]:
     return (0, *[n for n, v in enumerate(valuations, 1) if v == 0], len(valuations) + 1)
 
 
-def _delta_run(r: int, p: int, count: int) -> Iterator[tuple[int, ...]]:
-    """The cut points of (r, s, p) for s = r, ..., r + count - 1 in turn, read
-    from chunked tables of F as the module docstring sets out; p is a checked
-    prime."""
+def _period_cells(r: int, p: int) -> range:
+    """Cells s that take every value of pi(r, s, p) over one period in s, by the
+    window lemma of the module docstring: fewer than 2r^2 of them."""
+    pm = p_power_at_least(r, p)[1]
+    if p >= 2 * r - 1 and pm > 2 * r:
+        return range(p - r + 1, p + r + 1)
+    return range(r, r + pm)
+
+
+def _delta_run(r: int, p: int, cells: range) -> Iterator[tuple[int, ...]]:
+    """The cut points of (r, s, p) for each s of the run `cells` in turn, read
+    from one table of F as the module docstring sets out; p is a checked prime."""
     width = 2 * r + 1
-    near: list[int] = []
-    for s0 in range(r, r + count, _RUN_CHUNK):
-        s1 = min(s0 + _RUN_CHUNK, r + count)
-        table = _legendre_window(s0 - r, s1 - 1 + r, p)  # table[x - s0 + r] = F(x)
-        if s0 == r:
-            near = table[:r + 1]
-        for i in range(s1 - s0):
-            yield _cuts(_valuations_on(r, s0 + i, p, near, table[i:i + width]))
+    table = _legendre_window(cells.start - r, cells.stop - 1 + r, p)  # table[x - start + r] = F(x)
+    near = table[:r + 1] if cells.start == r else _legendre_window(0, r, p)
+    for i, s in enumerate(cells):
+        yield _cuts(_valuations_on(r, s, p, near, table[i:i + width]))
 
 
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, Optional
 
-from .jordan import _pi_run
+from . import corr, delta
 from .parith import ensure_prime, p_parts, p_power_at_least
 from .perm import Permutation, compose, identity, transposition
 
@@ -160,15 +160,17 @@ class PermGroup:
 # -- Norman-involution generators -------------------------------------------
 
 
-def _one_period(r: int, p: int, cap: int) -> list[Permutation]:
-    """pi(r, s, p) for r <= s <= r + p^m - 1, one full period in s, equal values
-    sharing one Permutation. The degree guard r <= cap bounds r only, not the
-    p^m cells of the period."""
+def _one_period(r: int, p: int, cap: int) -> tuple[range, list[Permutation]]:
+    """The cells of delta._period_cells, which take every value of pi(r, s, p)
+    over one period in s, and pi at each cell, equal values sharing one
+    Permutation; the cut points determine pi, so they key it."""
     p = ensure_prime(p)
-    pm = p_power_at_least(r, p)[1]
+    cells = delta._period_cells(r, p)
     if r > cap:
         raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
-    return _pi_run(r, p, pm)
+    run = list(delta._delta_run(r, p, cells))
+    shared = {cuts: Permutation(corr._reversal_images(cuts)) for cuts in dict.fromkeys(run)}
+    return cells, [shared[cuts] for cuts in run]
 
 
 def _distinct_nontrivial(period: list[Permutation]) -> list[Permutation]:
@@ -177,12 +179,12 @@ def _distinct_nontrivial(period: list[Permutation]) -> list[Permutation]:
 
 def group_generators(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Permutation]:
     """Distinct nontrivial pi(r, s, p) over one full period, in order of first appearance."""
-    return _distinct_nontrivial(_one_period(r, p, cap))
+    return _distinct_nontrivial(_one_period(r, p, cap)[1])
 
 
 def generator_census(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Number of distinct pi(r, s, p) over one period, the identity included."""
-    return len(set(_one_period(r, p, cap)))
+    return len(set(_one_period(r, p, cap)[1]))
 
 
 # -- block systems and wreath structure --------------------------------------
@@ -382,16 +384,18 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
     """
     p = ensure_prime(p)
     _, a, b, _ = p_parts(r, p)
-    period = _one_period(r, p, cap)
+    cells, period = _one_period(r, p, cap)
     gens = _distinct_nontrivial(period)
 
     l9_ok = True
     if a > 1:
-        # pi(r, s, p) depends on s mod p^m only, so pi_k sits at index (k - r) mod p^m.
+        # pi(r, s, p) depends on s mod p^m only, so pi_k sits at index
+        # (k - cells.start) mod p^m. The cells are the whole period, or for
+        # p >= 2r - 1, where b = 1, the 2r cells around p, which hold 0, 1 and 2.
         # For b = 1 the residue forms give Rev(2,r) Rev(1,r) Rev(2,r) Rev(3,r) = (1, 2)
         # for r >= 3, and id (1,2) id id for r = 2.
         pm = p_power_at_least(r, p)[1]
-        pi_k = {k: period[(k - r) % pm] for k in (0, 1, b, b + 1)}
+        pi_k = {k: period[(k - cells.start) % pm] for k in (0, 1, b, b + 1)}
         product = compose(compose(compose(pi_k[1], pi_k[0]), pi_k[b]), pi_k[b + 1])
         l9_ok = product == transposition(1, b + 1, r)
     seed = (1, b + 1) if a > 1 and l9_ok else None

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
-from . import corr, delta
+from . import corr
 from .corr import DeviationVector
 from .delta import DeltaProfile, delta_profile
 from .parith import check_rsp, ensure_prime, p_power_at_least
@@ -91,21 +91,6 @@ def lambda_of(r: int, s: int, p: int) -> Partition:
 def pi_of(r: int, s: int, p: int) -> Permutation:
     """The Norman permutation n -> lo + hi + 1 - n on (lo, hi]; an involution or the identity."""
     return Permutation(corr._reversal_images(delta_profile(r, s, p).cuts))
-
-
-def _pi_run(r: int, p: int, count: int) -> list[Permutation]:
-    """pi(r, s, p) for s = r, ..., r + count - 1, read from one chunked Legendre
-    table (`delta._delta_run`). The cut points determine pi, so keying on them
-    gives one Permutation per distinct value. Uncapped: the work is r * count."""
-    p = ensure_prime(p)
-    shared: dict[tuple[int, ...], Permutation] = {}
-    out = []
-    for cuts in delta._delta_run(r, p, count):
-        g = shared.get(cuts)
-        if g is None:
-            g = shared[cuts] = Permutation(corr._reversal_images(cuts))
-        out.append(g)
-    return out
 
 
 def deviation(r: int, s: int, p: int) -> DeviationVector:

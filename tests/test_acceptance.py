@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. All checks are exact
 """
 
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
 import normanform as nf
@@ -174,7 +175,13 @@ def test_criterion_6_wreath_structure():
             if (r, p) in anchors:
                 assert rep.order == anchors[(r, p)]
             groups += 1
-    report("6 wreath-structure", f"{groups} groups, orders exact, chain-checked")
+    # at a ten-digit prime one period is read at its 2r window-lemma cells; b = 1
+    big = 10**9 + 7
+    for r in range(2, 65):
+        rep = nf.verify_wreath(r, big)
+        assert rep.verdict and rep.b == 1 and rep.order == factorial(r), (r, big, rep)
+        groups += 1
+    report("6 wreath-structure", f"{groups} groups, orders exact, chain-checked for p <= 7")
 
 
 def test_criterion_7_bijection_roundtrips():

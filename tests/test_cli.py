@@ -163,6 +163,14 @@ def test_group_cli(capsys):
     assert code == 0 and payload["blocks"] == [[1, 4], [2, 5], [3, 6]]
 
 
+def test_group_and_pi3_answer_at_a_ten_digit_prime(capsys):
+    """One period at p = 10^9 + 7 is read at its window-lemma cells, not p cells."""
+    code, out = run(capsys, "group", "--census", "--r", "64", "--p", "1000000007")
+    assert code == 0 and '"census": 126' in out
+    code, out = run(capsys, "table", "--name", "pi3", "--primes", "1000000007")
+    assert code == 0 and [line.split()[-1] for line in out.splitlines()[2:]] == ["ok"] * 4
+
+
 def test_group_census_honours_the_cap(capsys, monkeypatch):
     start = time.perf_counter()
     code, payload = run_json(capsys, "group", "--census", "--r", "8000", "--p", "2")

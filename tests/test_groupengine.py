@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normanform import delta, groupengine, parith
+from normanform import groupengine, parith
 from normanform.cli import main
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _certify,
                                     _generates_dihedral, _joins_blocks, _one_period,
@@ -349,47 +349,27 @@ def test_verify_wreath_r1000_p7_is_fast():
     assert rep.verdict and rep.route == "certificate"
 
 
-def test_period_table_equals_pi_of():
-    """One period from the Legendre table equals pi_of cell by cell, for every
-    r <= 40 and p <= 13 with r * p^m <= 2 * 10^5."""
-    cells = 0
-    for p in (2, 3, 5, 7, 11, 13):
-        for r in range(1, 41):
-            pm = p_power_at_least(r, p)[1]
-            if r * pm > 2 * 10**5:
-                continue
-            cells += 1
-            assert _one_period(r, p, r) == [pi_of(r, s, p) for s in range(r, r + pm)], (r, p)
-    assert cells == 240
-
-
-def test_period_table_is_built_in_chunks(monkeypatch):
-    r, p = 3, 100003
-    lengths = []
-    window = delta._legendre_window
-
-    def recording(lo, hi, q):
-        out = window(lo, hi, q)
-        lengths.append(len(out))
-        return out
-
-    monkeypatch.setattr(delta, "_legendre_window", recording)
-    period = _one_period(r, p, 64)
-    assert len(period) == p and delta._RUN_CHUNK * 8 <= p
-    assert len(lengths) >= p // delta._RUN_CHUNK
-    assert max(lengths) <= delta._RUN_CHUNK + 2 * r + 1
-
-
-def test_period_table_with_small_chunks(monkeypatch):
-    """Chunks of 1, 5 and 64 values of s give the same periods as pi_of: each
-    chunk reads its own slice of F, and the near window stays that of s = r."""
-    cells = [(r, p) for p in (2, 3, 5) for r in range(1, 17)] + [(27, 3), (40, 7), (49, 7)]
-    expected = {(r, p): [pi_of(r, s, p) for s in range(r, r + p_power_at_least(r, p)[1])]
-                for r, p in cells}
-    for chunk in (1, 5, 64):
-        monkeypatch.setattr(delta, "_RUN_CHUNK", chunk)
-        for r, p in cells:
-            assert _one_period(r, p, r) == expected[r, p], (chunk, r, p)
+def test_period_cells_take_every_value():
+    """The window lemma: the cells of delta._period_cells, fewer than 2r^2, take
+    every value of pi(r, s, p) over one full period in s, and _one_period holds
+    pi_of at each cell. On every r <= 40 and p <= 13 with r * p^m <= 2 * 10^5,
+    and on p in {31, 101, 1009} with r * p^m <= 2 * 10^4, where both branches
+    and their boundary p = 2r - 1 are met."""
+    pairs = [(r, p) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 41)
+             if r * p_power_at_least(r, p)[1] <= 2 * 10**5]
+    assert len(pairs) == 240
+    pairs += [(r, p) for p in (31, 101, 1009) for r in range(1, 41)
+              if r * p_power_at_least(r, p)[1] <= 2 * 10**4]
+    for r, p in pairs:
+        p = parith.ensure_prime(p)  # tested once, not at every pi_of
+        cells, period = _one_period(r, p, r)
+        assert len(cells) < 2 * r * r, (r, p)
+        full = range(r, r + p_power_at_least(r, p)[1])
+        expected = [pi_of(r, s, p) for s in full]
+        if cells != full:
+            assert set(period) == set(expected), (r, p)
+            expected = [pi_of(r, s, p) for s in cells]
+        assert period == expected, (r, p)
 
 
 def test_join_matches_the_orbit_walk():
