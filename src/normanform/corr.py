@@ -137,6 +137,13 @@ def _deviation_entries(cuts: Sequence[int]) -> list[int]:
     return entries
 
 
+def _unchecked(cls, **fields):
+    """cls(**fields) without its __post_init__ check, for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def subset_to_perm(T: SubsetProfile) -> Permutation:
     """Product of reversals over the consecutive intervals of T; an involution or identity."""
     return Permutation(_reversal_images(T.cuts()))

@@ -7,15 +7,16 @@ F(x) = sum_{k<x} v_p(k!) (Legendre), its p-adic valuation is
 
     v_p(D_n) = F(s+r-n) - F(s+r-2n) - F(r) + F(r-n) - F(s) + F(s-n) + F(n).
 
-Every argument lies in one of two windows, [0, r] and [s-r, s+r].
-delta_profile tabulates F on each window from one closed-form anchor,
-F(x) = (x(x-1)/2 - sum_{k<x} S_p(k)) / (p-1) with S_p the base-p digit sum,
-stepping by F(k+1) = F(k) + v_p(k!) and v_p((k+1)!) = v_p(k!) + v_p(k+1). One
-profile costs O(r + log_p s) integer operations; the huge integer D_n is never
-formed. The carry-count and exact big-integer values of D_n, independent
-routes, live with the tests as references. The profile is held as its cut
-points, 0, r and every n in [r-1] with v_p(D_n) = 0, and only _cuts turns
-valuations into cut points.
+Every argument lies in one of two windows, [0, r] and [s-r, s+r]. The four
+far-window terms have coefficients +1, -1, -1, +1, which sum to 0 also when
+weighted by their arguments, so F less any affine function of x serves on the
+far window. _legendre_window(lo, hi, p) tabulates G(x) = F(x) - F(lo) -
+(x - lo) v_p(lo!), which starts 0, 0 with second differences v_p(x), from the
+valuations of the window's own integers; at lo = 0, G = F. One profile costs
+O(r + log_p s) operations on small integers, and D_n is never formed; its
+carry-count and exact big-integer values, independent routes, live with the
+tests as references. The profile is held as its cut points, 0, r and every n
+in [r-1] with v_p(D_n) = 0, and only _cuts turns valuations into cut points.
 
 One period of pi in s needs far fewer cells than its p^m values of s. Pair
 the n terms of the two sums of v_p(k!) in the s-dependent part
@@ -28,14 +29,14 @@ each window holds at most one multiple of p, and the 2r cells
 s in [p-r+1, p+r] take every value of the period: they hold the s within
 r-2 of p and window-free cells on both sides of them. Otherwise the period
 p^m is below p*r < 2r^2. _period_cells returns the shorter of the two, and
-_delta_run reads a run of cells from one table of F: the far windows of the
-run lie in [start-r, stop-1+r], and when the run starts at s = r the
-table's head, F on [0, r], is also the near window of every s.
+_delta_run reads the far windows of a run of cells from one table on
+[start-r, stop-1+r], as every cell cancels the table's one affine term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .parith import check_rsp, p_power_at_least
@@ -76,50 +77,32 @@ class DeltaProfile:
         return self.cuts[1:-1]
 
 
-def _digit_sum_prefix(x: int, p: int) -> int:
-    """sum_{k<x} S_p(k), one base-p place at a time: O(log_p x)."""
-    total = 0
-    w = 1
-    while w < x:
-        cycles, rest = divmod(x, w * p)
-        digit, tail = divmod(rest, w)
-        # each whole cycle of w*p numbers puts every digit 0..p-1 at place w, w times
-        total += w * (cycles * (p * (p - 1) // 2) + digit * (digit - 1) // 2) + digit * tail
-        w *= p
-    return total
-
-
 def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
-    """[F(lo), F(lo+1), ..., F(hi)] for F(x) = sum_{k<x} v_p(k!)."""
-    f = (lo * (lo - 1) // 2 - _digit_sum_prefix(lo, p)) // (p - 1)
-    v = 0  # v_p(lo!) = sum_{i>=1} floor(lo / p^i)
-    q = p
-    while q <= lo:
-        v += lo // q
-        q *= p
-    window = [f]
-    for k in range(lo + 1, hi + 1):
-        f += v
-        window.append(f)
-        j = k
-        while j % p == 0:  # v_p(k!) = v_p((k-1)!) + v_p(k)
-            j //= p
-            v += 1
-    return window
+    """[G(lo), ..., G(hi)] for G(x) = F(x) - F(lo) - (x - lo) v_p(lo!), which
+    equals F(x) when lo = 0: G(lo) = G(lo+1) = 0 and G(x+1) - G(x) is the sum of
+    v_p(t) over t in (lo, x], set one power q = p^e at a time."""
+    inc = [0] * (hi - lo)  # inc[i] = v_p(lo + i) for i >= 1
+    q, e = p, 1
+    while q <= hi:
+        first = q - lo % q
+        inc[first::q] = [e] * len(range(first, hi - lo, q))
+        q, e = q * p, e + 1
+    return list(accumulate(accumulate(inc), initial=0))
 
 
 def _valuations(r: int, s: int, p: int) -> list[int]:
-    """[v_p(D_1), ..., v_p(D_{r-1})] from F tabulated on [0, r] and [s-r, s+r]."""
+    """[v_p(D_1), ..., v_p(D_{r-1})] from the Legendre windows on [0, r] and [s-r, s+r]."""
     return _valuations_on(r, s, p, _legendre_window(0, r, p), _legendre_window(s - r, s + r, p))
 
 
 def _valuations_on(r: int, s: int, p: int, near: list[int], far: list[int]) -> list[int]:
     """[v_p(D_1), ..., v_p(D_{r-1})] read off near[x] = F(x) for 0 <= x <= r and
-    far[x - s + r] = F(x) for s-r <= x <= s+r."""
+    far[x - s + r] = F(x) - a - bx for s-r <= x <= s+r, any a and b."""
     out = []
+    top = 2 * r
+    fixed = near[r] + far[r]  # the terms at x = r and x = s, which do not move with n
     for n in range(1, r):
-        v = (far[2 * r - n] - far[2 * r - 2 * n] - near[r] + near[r - n]
-             - far[r] + far[r - n] + near[n])
+        v = far[top - n] - far[top - 2 * n] + near[r - n] + far[r - n] + near[n] - fixed
         if v < 0:
             raise RuntimeError(f"negative valuation {v} for D_{n}({r},{s}) at p={p}; "
                                "this signals an internal arithmetic fault")
@@ -143,10 +126,10 @@ def _period_cells(r: int, p: int) -> range:
 
 def _delta_run(r: int, p: int, cells: range) -> Iterator[tuple[int, ...]]:
     """The cut points of (r, s, p) for each s of the run `cells` in turn, read
-    from one table of F as the module docstring sets out; p is a checked prime."""
+    from one table as the module docstring sets out; p is a checked prime."""
     width = 2 * r + 1
-    table = _legendre_window(cells.start - r, cells.stop - 1 + r, p)  # table[x - start + r] = F(x)
-    near = table[:r + 1] if cells.start == r else _legendre_window(0, r, p)
+    table = _legendre_window(cells.start - r, cells.stop - 1 + r, p)  # table[x - start + r] = G(x)
+    near = _legendre_window(0, r, p)
     for i, s in enumerate(cells):
         yield _cuts(_valuations_on(r, s, p, near, table[i:i + width]))
 

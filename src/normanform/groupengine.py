@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, Optional
 
-from . import corr, delta
+from . import delta, jordan
 from .parith import ensure_prime, p_parts, p_power_at_least
 from .perm import Permutation, compose, identity, transposition
 
@@ -169,7 +169,7 @@ def _one_period(r: int, p: int, cap: int) -> tuple[range, list[Permutation]]:
     if r > cap:
         raise DegreeCapExceeded(f"degree {r} exceeds cap {cap}")
     run = list(delta._delta_run(r, p, cells))
-    shared = {cuts: Permutation(corr._reversal_images(cuts)) for cuts in dict.fromkeys(run)}
+    shared = {cuts: jordan._pi_at(cuts) for cuts in dict.fromkeys(run)}
     return cells, [shared[cuts] for cuts in run]
 
 

@@ -10,6 +10,9 @@ lambda_n = s + eps_n = s + r - lo - hi is Norman's r + s - 2n + L(n) - R(n), and
 pi(n) = r + 1 - n + s - lambda_n = lo + hi + 1 - n reverses the interval. As
 sum (hi - lo)(r - lo - hi) = r^2 - sum (hi^2 - lo^2) = 0, sum eps = 0 and
 |lambda| = rs.
+The values skip their classes' checks, as the cut points rise strictly from 0 to
+r: pi is a bijection, lambda_n >= s - r + 1 >= 1 weakly decreases, and eps is a
+deviation vector by the triangle theorem of `corr`.
 
 The recursion, for r <= s, with lambda(r, s) = lambda(s, r) and q the least
 p-power >= r; the first step that applies is taken:
@@ -85,17 +88,17 @@ class JordanResult:
 
 def lambda_of(r: int, s: int, p: int) -> Partition:
     """The Jordan partition of rs with exactly r parts: lambda_n = s + eps_n."""
-    return Partition(tuple(s + e for e in corr._deviation_entries(delta_profile(r, s, p).cuts)))
+    return _lam_at(s, corr._deviation_entries(delta_profile(r, s, p).cuts))
 
 
 def pi_of(r: int, s: int, p: int) -> Permutation:
     """The Norman permutation n -> lo + hi + 1 - n on (lo, hi]; an involution or the identity."""
-    return Permutation(corr._reversal_images(delta_profile(r, s, p).cuts))
+    return _pi_at(delta_profile(r, s, p).cuts)
 
 
 def deviation(r: int, s: int, p: int) -> DeviationVector:
     """The deviation vector (lambda_1 - s, ..., lambda_r - s)."""
-    return DeviationVector(tuple(corr._deviation_entries(delta_profile(r, s, p).cuts)))
+    return jordan_result(r, s, p).epsilon
 
 
 def jordan_result(r: int, s: int, p: int) -> JordanResult:
@@ -103,9 +106,16 @@ def jordan_result(r: int, s: int, p: int) -> JordanResult:
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
     entries = corr._deviation_entries(prof.cuts)
-    lam = Partition(tuple(s + e for e in entries))
-    pi = Permutation(corr._reversal_images(prof.cuts))
-    return JordanResult(r, s, p, lam, pi, DeviationVector(tuple(entries)), prof)
+    eps = corr._unchecked(DeviationVector, entries=tuple(entries))
+    return JordanResult(r, s, p, _lam_at(s, entries), _pi_at(prof.cuts), eps, prof)
+
+
+def _lam_at(s: int, entries: list[int]) -> Partition:
+    return corr._unchecked(Partition, parts=tuple([s + e for e in entries]))
+
+
+def _pi_at(cuts: tuple[int, ...]) -> Permutation:
+    return corr._unchecked(Permutation, images=corr._reversal_images(cuts))
 
 
 @dataclass(frozen=True)

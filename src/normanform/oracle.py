@@ -244,4 +244,4 @@ def nilpotent_mu(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
         if counts[v] % 2:
             raise RuntimeError(f"part {v} has odd unpaired multiplicity {counts[v]}")
         mu.extend([v] * (counts[v] // 2))
-    return Partition(tuple(mu)) if mu else Partition(())
+    return Partition(tuple(mu))

@@ -138,7 +138,7 @@ def format_cycles(f: Permutation) -> str:
     cycs = f.cycles()
     if not cycs:
         return "()"
-    return "".join("(" + ",".join(str(n) for n in cyc) + ")" for cyc in cycs)
+    return "".join("(" + ",".join(map(str, cyc)) + ")" for cyc in cycs)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -7,11 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import corr
+from . import corr, jordan
 from .delta import delta_profile
-from .jordan import Partition
 from .parith import check_rsp, p_power_at_least
-from .perm import Permutation
 
 
 class EquivalenceViolation(RuntimeError):
@@ -75,7 +73,7 @@ def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     return StandardnessReport(r, s, p, m, matched_row=None, verdict=False)
 
 
-def standard_partition(lam: Partition, r: int, s: int) -> bool:
+def standard_partition(lam: jordan.Partition, r: int, s: int) -> bool:
     """True iff lambda_n = r + s + 1 - 2n for every n."""
     if len(lam) != r:
         raise ValueError(f"partition has {len(lam)} parts, expected r={r}")
@@ -112,10 +110,10 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
     p = check_rsp(r, s, p)
     prof = delta_profile(r, s, p)
     triple = standard_triple(r, s, p)
-    lam = Partition(tuple(s + e for e in corr._deviation_entries(prof.cuts)))
+    lam = jordan._lam_at(s, corr._deviation_entries(prof.cuts))
     report = EquivalenceReport(r, s, p, (
         ("standard_partition", standard_partition(lam, r, s)),
-        ("identity_permutation", Permutation(corr._reversal_images(prof.cuts)).is_identity()),
+        ("identity_permutation", jordan._pi_at(prof.cuts).is_identity()),
         ("standard_triple", triple.verdict),
         ("all_left_gaps_one", all(v == 1 for v in prof.L)),
         ("all_right_gaps_zero", all(v == 0 for v in prof.R)),

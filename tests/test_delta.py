@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normanform.delta import _valuations, delta_profile
-from normanform.parith import p_adic_valuation
+from normanform.delta import _delta_run, _legendre_window, _valuations, delta_profile
+from normanform.parith import ensure_prime, p_adic_valuation
 from reference import dn_exact, dn_valuation
 
 
@@ -112,3 +112,49 @@ def test_legendre_route_matches_exact_determinant(r, extra, p):
     s = r + extra
     assert _valuations(r, s, p) == [p_adic_valuation(dn_exact(r, s, n), p)
                                     for n in range(1, r)]
+
+
+def _legendre_naive(x, p):
+    """F(x) = sum_{k<x} v_p(k!), one factorial valuation at a time."""
+    total = fact = 0
+    for k in range(1, x):
+        fact += p_adic_valuation(k, p)  # fact = v_p(k!)
+        total += fact
+    return total
+
+
+def test_near_window_is_legendre_sum():
+    for p in (2, 3, 5, 7, 10**9 + 7):
+        assert _legendre_window(0, 80, p) == [_legendre_naive(x, p) for x in range(81)], p
+        for r in range(1, 12):
+            assert _legendre_window(0, r, p) == [_legendre_naive(x, p) for x in range(r + 1)]
+
+
+def test_far_window_is_legendre_sum_less_an_affine_term():
+    for p in (2, 3, 5, 7):
+        for lo in range(0, 130):
+            f_lo = _legendre_naive(lo, p)
+            v_lo = _legendre_naive(lo + 1, p) - f_lo  # v_p(lo!)
+            expected = [_legendre_naive(x, p) - f_lo - (x - lo) * v_lo
+                        for x in range(lo, lo + 25)]
+            assert _legendre_window(lo, lo + 24, p) == expected, (lo, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10**15), st.integers(1, 120),
+       st.sampled_from((2, 3, 5, 7, 11, 10**9 + 7)))
+def test_far_window_starts_flat_with_valuation_second_differences(lo, width, p):
+    w = _legendre_window(lo, lo + width, p)
+    assert len(w) == width + 1 and w[:2] == [0, 0]
+    for i in range(1, width):  # G(x+1) - 2G(x) + G(x-1) = v_p(x) at x = lo + i
+        assert w[i + 1] - 2 * w[i] + w[i - 1] == p_adic_valuation(lo + i, p), (lo, i, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10**15), st.integers(1, 30),
+       st.sampled_from((2, 3, 5, 7, 10**9 + 7)))
+def test_delta_run_far_from_s_equals_r(r, offset, k, p):
+    # one relative table serves every cell of a run at a huge offset
+    cells = range(r + offset, r + offset + k)
+    run = list(_delta_run(r, ensure_prime(p), cells))
+    assert run == [delta_profile(r, s, p).cuts for s in cells], (r, offset, p)

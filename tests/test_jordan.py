@@ -3,12 +3,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normanform import corr, delta, green, groupengine, parith, standardness
-from normanform.corr import reversal_cuts, subset_to_eps, subset_to_perm, SubsetProfile
+from normanform import corr, delta, green, groupengine, oracle, parith, standardness
+from normanform.corr import (DeviationVector, reversal_cuts, subset_to_eps, subset_to_perm,
+                             SubsetProfile)
 from normanform.jordan import (Partition, deviation, jordan_result, lambda_of,
                                pi3_value, pi_fast_path, pi_of)
 from normanform.parith import p_parts, p_power_at_least
-from normanform.perm import compose, conjugate, format_cycles, identity, rev
+from normanform.perm import Permutation, compose, conjugate, format_cycles, identity, rev
 
 
 def test_partition_type():
@@ -237,3 +238,50 @@ def test_each_query_tests_primality_once(monkeypatch):
             calls.clear()
             query(r, s, p)
             assert calls == [p], (query.__name__, r, s, p)
+
+
+def _revalidated(value):
+    """value rebuilt through its class's checking constructor, which raises on an
+    invalid value; equal to value, and hashing equal, or the test fails."""
+    checked = type(value)(*vars(value).values())
+    assert checked == value and hash(checked) == hash(value), value
+    return checked
+
+
+def test_delta_route_values_pass_the_validating_constructors():
+    # the delta route builds Partition, Permutation and DeviationVector unchecked;
+    # this is the evidence that they would pass the checks they skip
+    cells = [(r, s, p) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 31) for s in range(r, 31)]
+    cells += [(r, 10**12 + d, p) for r in (1, 2, 17, 60, 160) for d in (-1, 0, 1, 12345)
+              for p in (2, 3, 7, 10**9 + 7)]
+    for r, s, p in cells:
+        res = jordan_result(r, s, p)
+        for value, again in ((res.lam, lambda_of(r, s, p)), (res.pi, pi_of(r, s, p)),
+                             (res.epsilon, deviation(r, s, p))):
+            assert _revalidated(value) == again and hash(value) == hash(again), (r, s, p)
+        assert len(res.lam) == r and res.lam.size == r * s, (r, s, p)
+        corr.validate_eps(res.epsilon.entries)
+    for r in range(2, 25):
+        for p in (2, 3, 5, 7, 11, 13):
+            for g in groupengine.group_generators(r, p):
+                _revalidated(g)
+
+
+def test_only_the_delta_route_skips_the_checks(monkeypatch):
+    counts = {cls: 0 for cls in (Partition, Permutation, DeviationVector)}
+    for cls in counts:
+        check = cls.__post_init__
+
+        def counted(self, cls=cls, check=check):
+            counts[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    r, s, p = 12, 10**12 + 5, 3
+    jordan_result(r, s, p), lambda_of(r, s, p), pi_of(r, s, p), deviation(r, s, p)
+    standardness.equivalence_report(r, s, p), groupengine.group_generators(r, p)
+    assert set(counts.values()) == {0}
+    # the independent routes still validate what they return
+    pi_fast_path(r, s, p)
+    assert counts[Permutation] == 1
+    oracle.oracle_lambda(6, 9, 3)
+    assert counts[Partition] == 1
