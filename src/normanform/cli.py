@@ -81,9 +81,9 @@ def _cell_query(r, s, p, args):
     if not args.json:  # the text line reads only the value it prints
         if args.command == "lambda":
             return None, " ".join(map(str, jordan.lambda_of(r, s, p).parts))
-        return None, format_cycles(jordan.pi_of(r, s, p))
+        return None, corr_mod._reversal_cycles(delta_profile(r, s, p).cuts)
     res = jordan.jordan_result(r, s, p)
-    return {"lambda": list(res.lam.parts), "pi": format_cycles(res.pi),
+    return {"lambda": list(res.lam.parts), "pi": corr_mod._reversal_cycles(res.profile.cuts),
             "epsilon": list(res.epsilon.entries), "method": res.method}, None
 
 

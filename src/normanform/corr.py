@@ -10,11 +10,14 @@ on (lo, hi]) and _deviation_entries (eps_n = r - lo - hi on (lo, hi]), are the
 only home of these formulas: subset_to_perm and subset_to_eps read them at T's
 cut points, and the delta route of `jordan` at the cut points of the delta
 profile, where lambda = s + eps is Norman's lambda and pi his involution.
+_reversal_cycles writes the cycle text of the reversal product straight from
+the cut points, for the CLI's pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .perm import Permutation
@@ -135,6 +138,17 @@ def _deviation_entries(cuts: Sequence[int]) -> list[int]:
     for lo, hi in zip(cuts, cuts[1:]):
         entries.extend([r - lo - hi] * (hi - lo))
     return entries
+
+
+def _reversal_cycles(cuts: Sequence[int]) -> str:
+    """The cycle text of the same product, as perm.format_cycles writes it: the
+    reversal of (lo, hi] has the cycles (lo+1+i, hi-i) for i < (hi-lo)/2, already
+    in order of least point."""
+    points: list[int] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        points.extend(chain.from_iterable(zip(range(lo + 1, lo + 1 + (hi - lo) // 2),
+                                              range(hi, lo, -1))))
+    return "(%d,%d)" * (len(points) // 2) % tuple(points) or "()"
 
 
 def _unchecked(cls, **fields):

@@ -267,11 +267,15 @@ def expected_wreath_order(a: int, b: int) -> int:
 def _dihedral_form(image: Permutation, b: int) -> Optional[tuple[int, int]]:
     """(e, c) with j -> e*j + c (mod b) for every block index j and e = +-1,
     or None when the block permutation has neither form, that is, lies outside
-    D_b. For b <= 2 every block permutation has the form (1, c)."""
-    c = image.images[b - 1] % b
-    for e in (1, -1):
-        if all(image.images[j - 1] % b == (e * j + c) % b for j in range(1, b)):
-            return e, c
+    D_b. For b <= 2 every block permutation has the form (1, c). The images
+    mod b are compared whole with those of the rotation and of the reflection
+    that send b to c."""
+    residues = [m % b for m in image.images]
+    c = residues[-1]
+    if residues == [*range(c + 1, b), *range(c + 1)]:
+        return 1, c
+    if residues == [*range(c - 1, -1, -1), *range(b - 1, c - 1, -1)]:
+        return -1, c
     return None
 
 

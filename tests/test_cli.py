@@ -404,6 +404,13 @@ def test_cell_cli_golden(capsys):
     check_jsonl_golden(capsys, "cell_cli.jsonl")
 
 
+def test_group_golden_below_the_period(capsys):
+    # tests/golden/group_below_period.jsonl: group --verify and --census at
+    # (64, 61) and (40, 37), where p < r <= p^m and most cells of the period
+    # take the cut points of their class mod p^(m-1)
+    check_jsonl_golden(capsys, "group_below_period.jsonl")
+
+
 def test_sweep_reports_a_check_with_no_cells(capsys):
     # wreath starts at r = 2, so --rmax 1 gives it no cells
     grid = ("--rmax", "1", "--primes", "2")

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from normanform.corr import (DeviationError, NotReversalProduct, SubsetProfile,
-                             eps_to_perm, eps_to_subset, perm_to_eps, perm_to_subset,
-                             reversal_cuts, subset_to_eps, subset_to_perm, validate_eps)
+                             _reversal_cycles, eps_to_perm, eps_to_subset, perm_to_eps,
+                             perm_to_subset, reversal_cuts, subset_to_eps, subset_to_perm,
+                             validate_eps)
+from normanform.delta import delta_profile
+from normanform.jordan import pi_of
 from normanform.perm import Permutation, format_cycles, identity
 
 
@@ -145,3 +148,19 @@ def test_reversal_cuts():
     assert reversal_cuts(subset_to_perm(SubsetProfile(5, (2, 3)))) == (0, 2, 3, 5)
     with pytest.raises(NotReversalProduct):
         reversal_cuts(Permutation((2, 3, 4, 1)))
+
+
+def test_reversal_cycles_match_the_cycle_walk():
+    # the cycle text written from the cut points against the walk of pi's cycles,
+    # on every r <= 30, r <= s <= 60, p <= 11, and on every subset of [r-1], r <= 8
+    cells = 0
+    for p in (2, 3, 5, 7, 11):
+        for r in range(1, 31):
+            for s in range(r, 61):
+                cuts = delta_profile(r, s, p).cuts
+                assert _reversal_cycles(cuts) == format_cycles(pi_of(r, s, p)), (r, s, p)
+                cells += 1
+    assert cells == 6825
+    for r in range(1, 9):
+        for T in all_subsets(r):
+            assert _reversal_cycles(T.cuts()) == format_cycles(subset_to_perm(T)), T

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normanform.delta import _delta_run, _legendre_window, _valuations, delta_profile
-from normanform.parith import ensure_prime, p_adic_valuation
+from normanform.parith import ensure_prime, p_adic_valuation, p_power_at_least
 from reference import dn_exact, dn_valuation
 
 
@@ -153,8 +153,13 @@ def test_far_window_starts_flat_with_valuation_second_differences(lo, width, p):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 10**15), st.integers(1, 30),
        st.sampled_from((2, 3, 5, 7, 10**9 + 7)))
-def test_delta_run_far_from_s_equals_r(r, offset, k, p):
+def test_delta_run_far_from_s_equals_r(r, offset, extra, p):
     # one relative table serves every cell of a run at a huge offset
-    cells = range(r + offset, r + offset + k)
+    pm = p_power_at_least(r, p)[1]
+    if pm < 10**3:  # longer than the period, so that each class mod p^(m-1) repeats
+        cells = range(r + offset, r + offset + pm + extra)
+    else:  # 2r cells around a multiple of p, window-free cells on both sides of it
+        start = r + offset + (-2 * r - offset) % pm  # start + r = 0 mod p
+        cells = range(start, start + 2 * r + extra)
     run = list(_delta_run(r, ensure_prime(p), cells))
     assert run == [delta_profile(r, s, p).cuts for s in cells], (r, offset, p)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normanform import groupengine, parith
+from normanform import delta, groupengine, parith
 from normanform.cli import main
 from normanform.groupengine import (DegreeCapExceeded, PermGroup, _certify,
                                     _generates_dihedral, _joins_blocks, _one_period,
@@ -354,12 +354,16 @@ def test_period_cells_take_every_value():
     every value of pi(r, s, p) over one full period in s, and _one_period holds
     pi_of at each cell. On every r <= 40 and p <= 13 with r * p^m <= 2 * 10^5,
     and on p in {31, 101, 1009} with r * p^m <= 2 * 10^4, where both branches
-    and their boundary p = 2r - 1 are met."""
+    and their boundary p = 2r - 1 are met; and on pairs with p < r <= p^m up
+    to r = 64, where most cells of the period take the cut points of their
+    class mod p^(m-1)."""
     pairs = [(r, p) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 41)
              if r * p_power_at_least(r, p)[1] <= 2 * 10**5]
     assert len(pairs) == 240
     pairs += [(r, p) for p in (31, 101, 1009) for r in range(1, 41)
               if r * p_power_at_least(r, p)[1] <= 2 * 10**4]
+    pairs += [(64, 61), (64, 59), (50, 47), (64, 31), (64, 17), (40, 37), (30, 29),
+              (24, 19), (18, 17)]
     for r, p in pairs:
         p = parith.ensure_prime(p)  # tested once, not at every pi_of
         cells, period = _one_period(r, p, r)
@@ -370,6 +374,25 @@ def test_period_cells_take_every_value():
             assert set(period) == set(expected), (r, p)
             expected = [pi_of(r, s, p) for s in cells]
         assert period == expected, (r, p)
+
+
+def test_one_period_computes_fewer_than_3r_cells(monkeypatch):
+    """_one_period computes valuations at fewer than 3r cells of its period, at
+    every r <= 64 and prime p < 128: the cells whose window meets p^m Z and the
+    first window-free cell of each class mod p^(m-1)."""
+    calls = [0]
+    valuations_on = delta._valuations_on
+
+    def counted(*args):
+        calls[0] += 1
+        return valuations_on(*args)
+
+    monkeypatch.setattr(delta, "_valuations_on", counted)
+    for p in filter(parith.is_prime, range(2, 128)):
+        for r in range(1, 65):
+            calls[0] = 0
+            _one_period(r, p, r)
+            assert calls[0] < 3 * r, (r, p, calls[0])
 
 
 def test_join_matches_the_orbit_walk():

@@ -239,8 +239,10 @@ def test_graded_matches_dense_grid():
             assert graded(r, s, 1000003) == dense_partition(r, s, 1000003, kind), (r, s, kind)
 
 
+# r * s <= 400 keeps each dense elimination small; the dense grid above and
+# criterion 1 carry the breadth
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(st.integers(1, 30).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 900 // r))),
+@given(st.integers(1, 20).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 400 // r))),
        st.sampled_from((2, 3, 5, 7, 11, 13)))
 def test_graded_matches_dense_random(rs, p):
     r, s = rs
