@@ -170,6 +170,8 @@ def cmd_corr(args) -> int:
         T = corr_mod.SubsetProfile(args.r, members)
     elif args.eps is not None:
         eps = corr_mod.validate_eps(_parse_int_list(args.eps, "--eps"))
+        if args.r not in (None, eps.r):
+            raise UsageError(f"--r {args.r} differs from the length {eps.r} of --eps")
         T = corr_mod.eps_to_subset(eps)
     else:
         if args.r is None:

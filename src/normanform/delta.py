@@ -18,26 +18,22 @@ carry-count and exact big-integer values, independent routes, live with the
 tests as references. The profile is held as its cut points, 0, r and every n
 in [r-1] with v_p(D_n) = 0, and only _cuts turns valuations into cut points.
 
-One period of pi in s needs far fewer computed cells than its p^m values of
-s. Pair the n terms of the two sums of v_p(k!) in the s-dependent part
+One period of pi in s takes all its values at fewer than 3r cells. Pair the
+n terms of the two sums of v_p(k!) in the s-dependent part
 [F(s+r-n) - F(s+r-2n)] - [F(s) - F(s-n)]: it equals the sum over j < n of
 the v_p(t) for t in [s-n+j+1, s+r-2n+j], all inside the window
 [s-r+2, s+r-2]. So the cut points depend only on the p-adic valuations of
 the 2r-3 integers of that window (the window lemma). Let q = p^m be the
-least p-power >= r. When the window of s holds no multiple of q, each t in
-it has v_p(t) = #{1 <= j < m : p^j | t}, which depends only on t mod
-p^(m-1); so all such window-free cells congruent mod p^(m-1) have the same
-cut points. _delta_run computes valuations only at the cells whose window
-meets qZ, at most 2r-3 per q consecutive cells, and at the first
-window-free cell of each of the p^(m-1) < r classes, and gives every other
-cell the cut points of its class: fewer than 3r computed cells per period
-at every (r, p). For p >= 2r-1 the period is p, and the 2r cells
-s in [p-r+1, p+r] take every value of the period: they hold the s within
-r-2 of p and window-free cells on both sides of them, and 2r-2 of them are
-computed. Otherwise the period p^m is below p*r < 2r^2. _period_cells
-returns the shorter of the two, and _delta_run reads the far windows of a
-run of cells at offsets into one table on [start-r, stop-1+r], as every
-cell cancels the table's one affine term.
+least p-power >= r; pi has period q in s. When the window of s holds no
+multiple of q, each t in it has v_p(t) = #{1 <= j < m : p^j | t}, which
+depends only on t mod p^(m-1); so window-free cells congruent mod p^(m-1)
+have the same cut points. _period_cells returns the n = min(q, 2r-1 + q//p)
+cells from 2q-r+1 on. If n < q, they hold every s within r-2 of 2q, the
+residues whose window meets qZ, and then p^(m-1) + 1 consecutive
+window-free cells, one in each class mod p^(m-1); otherwise they are a
+whole period. _delta_run computes every cell of a run, reading the far
+windows at offsets into one table on [start-r, stop-1+r], as every cell
+cancels the table's one affine term.
 """
 
 from __future__ import annotations
@@ -97,12 +93,6 @@ def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
     return list(accumulate(accumulate(inc), initial=0))
 
 
-def _valuations(r: int, s: int, p: int) -> list[int]:
-    """[v_p(D_1), ..., v_p(D_{r-1})] from the Legendre windows on [0, r] and [s-r, s+r]."""
-    near, far = _legendre_window(0, r, p), _legendre_window(s - r, s + r, p)
-    return _valuations_on(r, s, p, near, far, 0)
-
-
 def _valuations_on(r: int, s: int, p: int, near: list[int], table: list[int],
                    start: int) -> list[int]:
     """[v_p(D_1), ..., v_p(D_{r-1})] read off near[x] = F(x) for 0 <= x <= r and
@@ -126,37 +116,22 @@ def _cuts(valuations: list[int]) -> tuple[int, ...]:
 
 
 def _period_cells(r: int, p: int) -> range:
-    """Cells s that take every value of pi(r, s, p) over one period in s, by the
-    window lemma of the module docstring: fewer than 2r^2 of them."""
-    pm = p_power_at_least(r, p)[1]
-    if p >= 2 * r - 1 and pm > 2 * r:
-        return range(p - r + 1, p + r + 1)
-    return range(r, r + pm)
+    """Fewer than 3r cells s that take every value of pi(r, s, p) over one
+    period in s, by the window lemma of the module docstring."""
+    q = p_power_at_least(r, p)[1]
+    return range(2 * q - r + 1, 2 * q - r + 1 + min(q, 2 * r - 1 + q // p))
 
 
 def _delta_run(r: int, p: int, cells: range) -> Iterator[tuple[int, ...]]:
     """The cut points of (r, s, p) for each s of the run `cells` in turn, read
-    from one table as the module docstring sets out; p is a checked prime.
-    Valuations are computed at each cell whose window [s-r+2, s+r-2] meets qZ
-    and at the first window-free cell of each class mod p^(m-1); every other
-    cell takes the cut points of its class."""
-    q = p_power_at_least(r, p)[1]
-    classes = max(q // p, 1)  # p^(m-1); 1 at r = 1, whose window is empty
+    from one table as the module docstring sets out; p is a checked prime."""
     table = _legendre_window(cells.start - r, cells.stop - 1 + r, p)  # table[x - start + r] = G(x)
     near = _legendre_window(0, r, p)
-    by_class: dict[int, tuple[int, ...]] = {}
     for i, s in enumerate(cells):
-        lo = s - r + 2
-        if lo + (-lo) % q <= s + r - 2:  # the window meets qZ
-            yield _cuts(_valuations_on(r, s, p, near, table, i))
-        else:
-            k = s % classes
-            if k not in by_class:
-                by_class[k] = _cuts(_valuations_on(r, s, p, near, table, i))
-            yield by_class[k]
+        yield _cuts(_valuations_on(r, s, p, near, table, i))
 
 
 def delta_profile(r: int, s: int, p: int) -> DeltaProfile:
     """The delta profile of (r, s, p): its cut points, from one pair of Legendre windows."""
     p = check_rsp(r, s, p)
-    return DeltaProfile(r, s, p, _cuts(_valuations(r, s, p)))
+    return DeltaProfile(r, s, p, next(_delta_run(r, p, range(s, s + 1))))

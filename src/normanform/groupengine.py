@@ -161,9 +161,9 @@ class PermGroup:
 
 
 def _one_period(r: int, p: int, cap: int) -> tuple[range, list[Permutation]]:
-    """The cells of delta._period_cells, which take every value of pi(r, s, p)
-    over one period in s, and pi at each cell, equal values sharing one
-    Permutation; the cut points determine pi, so they key it."""
+    """The cells of delta._period_cells, fewer than 3r from s = 2p^m - r + 1 on,
+    which take every value of pi(r, s, p) over one period in s, and pi at each
+    cell; equal values share one Permutation, keyed by the cut points."""
     p = ensure_prime(p)
     cells = delta._period_cells(r, p)
     if r > cap:
@@ -178,7 +178,8 @@ def _distinct_nontrivial(period: list[Permutation]) -> list[Permutation]:
 
 
 def group_generators(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Permutation]:
-    """Distinct nontrivial pi(r, s, p) over one full period, in order of first appearance."""
+    """Distinct nontrivial pi(r, s, p) over one full period, in order of first
+    appearance over the cells of delta._period_cells, from s = 2p^m - r + 1."""
     return _distinct_nontrivial(_one_period(r, p, cap)[1])
 
 
@@ -393,9 +394,8 @@ def verify_wreath(r: int, p: int, cap: int = DEFAULT_DEGREE_CAP) -> GroupReport:
 
     l9_ok = True
     if a > 1:
-        # pi(r, s, p) depends on s mod p^m only, so pi_k sits at index
-        # (k - cells.start) mod p^m. The cells are the whole period, or for
-        # p >= 2r - 1, where b = 1, the 2r cells around p, which hold 0, 1 and 2.
+        # pi(r, s, p) depends on s mod p^m only, and the cells hold every
+        # residue from 0 to r, so pi_k sits at index (k - cells.start) mod p^m.
         # For b = 1 the residue forms give Rev(2,r) Rev(1,r) Rev(2,r) Rev(3,r) = (1, 2)
         # for r >= 3, and id (1,2) id id for r = 2.
         pm = p_power_at_least(r, p)[1]

@@ -179,6 +179,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             pos = skip_ws(pos)
             if pos < n and text[pos] == ",":
                 pos = skip_ws(pos + 1)
+                if pos < n and text[pos] == ")":
+                    raise CycleParseError("expected a point but found ')'", pos)
             elif pos < n and text[pos] != ")":
                 raise CycleParseError(f"expected ',' or ')' but found {text[pos]!r}", pos)
         if pos == n:

@@ -199,6 +199,16 @@ def test_corr_usage_errors(capsys):
     assert code == 2 and payload["error"]["code"] == "usage"
     code, payload = run_json(capsys, "corr", "--eps", "1,0,-1")
     assert code == 2 and payload["error"]["code"] == "invalid-argument"
+    code, payload = run_json(capsys, "corr", "--r", "2", "--pi", "(1,2,)")
+    assert code == 2 and payload["error"]["code"] == "invalid-argument"
+
+
+def test_corr_r_must_match_the_eps_length(capsys):
+    code, payload = run_json(capsys, "corr", "--eps", "0", "--r", "5")
+    assert code == 2 and payload["error"] == {
+        "code": "usage", "message": "--r 5 differs from the length 1 of --eps"}
+    code, payload = run_json(capsys, "corr", "--eps", "2,2,-2,-2", "--r", "4")
+    assert code == 0 and payload["r"] == 4 and payload["subset"] == [2]
 
 
 def test_empty_list_items_are_usage_errors(capsys):

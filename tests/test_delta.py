@@ -1,9 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normanform.delta import _delta_run, _legendre_window, _valuations, delta_profile
+from normanform.delta import _delta_run, _legendre_window, _valuations_on, delta_profile
 from normanform.parith import ensure_prime, p_adic_valuation, p_power_at_least
 from reference import dn_exact, dn_valuation
+
+
+def _valuations(r, s, p):
+    """[v_p(D_1), ..., v_p(D_{r-1})] from the Legendre windows on [0, r] and [s-r, s+r]."""
+    return _valuations_on(r, s, p, _legendre_window(0, r, p), _legendre_window(s - r, s + r, p), 0)
 
 
 def test_dn_valuation_examples():
@@ -156,9 +161,9 @@ def test_far_window_starts_flat_with_valuation_second_differences(lo, width, p):
 def test_delta_run_far_from_s_equals_r(r, offset, extra, p):
     # one relative table serves every cell of a run at a huge offset
     pm = p_power_at_least(r, p)[1]
-    if pm < 10**3:  # longer than the period, so that each class mod p^(m-1) repeats
+    if pm < 10**3:  # longer than the period
         cells = range(r + offset, r + offset + pm + extra)
-    else:  # 2r cells around a multiple of p, window-free cells on both sides of it
+    else:  # 2r cells around a multiple of p
         start = r + offset + (-2 * r - offset) % pm  # start + r = 0 mod p
         cells = range(start, start + 2 * r + extra)
     run = list(_delta_run(r, ensure_prime(p), cells))

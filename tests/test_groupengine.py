@@ -350,13 +350,13 @@ def test_verify_wreath_r1000_p7_is_fast():
 
 
 def test_period_cells_take_every_value():
-    """The window lemma: the cells of delta._period_cells, fewer than 2r^2, take
+    """The window lemma: the cells of delta._period_cells, fewer than 3r, take
     every value of pi(r, s, p) over one full period in s, and _one_period holds
     pi_of at each cell. On every r <= 40 and p <= 13 with r * p^m <= 2 * 10^5,
-    and on p in {31, 101, 1009} with r * p^m <= 2 * 10^4, where both branches
-    and their boundary p = 2r - 1 are met; and on pairs with p < r <= p^m up
-    to r = 64, where most cells of the period take the cut points of their
-    class mod p^(m-1)."""
+    on p in {31, 101, 1009} with r * p^m <= 2 * 10^4, where n < q and n = q
+    and the large primes with m = 1 are all met; and on pairs with
+    p < r <= p^m up to r = 64, where most residues of the period are
+    window-free."""
     pairs = [(r, p) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 41)
              if r * p_power_at_least(r, p)[1] <= 2 * 10**5]
     assert len(pairs) == 240
@@ -367,19 +367,15 @@ def test_period_cells_take_every_value():
     for r, p in pairs:
         p = parith.ensure_prime(p)  # tested once, not at every pi_of
         cells, period = _one_period(r, p, r)
-        assert len(cells) < 2 * r * r, (r, p)
+        assert len(cells) < 3 * r, (r, p)
         full = range(r, r + p_power_at_least(r, p)[1])
-        expected = [pi_of(r, s, p) for s in full]
-        if cells != full:
-            assert set(period) == set(expected), (r, p)
-            expected = [pi_of(r, s, p) for s in cells]
-        assert period == expected, (r, p)
+        assert set(period) == {pi_of(r, s, p) for s in full}, (r, p)
+        assert period == [pi_of(r, s, p) for s in cells], (r, p)
 
 
 def test_one_period_computes_fewer_than_3r_cells(monkeypatch):
-    """_one_period computes valuations at fewer than 3r cells of its period, at
-    every r <= 64 and prime p < 128: the cells whose window meets p^m Z and the
-    first window-free cell of each class mod p^(m-1)."""
+    """_one_period computes valuations exactly once at each of its fewer than 3r
+    cells, at every r <= 64 and prime p < 128."""
     calls = [0]
     valuations_on = delta._valuations_on
 
@@ -391,8 +387,24 @@ def test_one_period_computes_fewer_than_3r_cells(monkeypatch):
     for p in filter(parith.is_prime, range(2, 128)):
         for r in range(1, 65):
             calls[0] = 0
-            _one_period(r, p, r)
-            assert calls[0] < 3 * r, (r, p, calls[0])
+            cells, _ = _one_period(r, p, r)
+            assert calls[0] == len(cells) < 3 * r, (r, p, calls[0])
+
+
+def test_period_cells_hold_the_l9_residues():
+    """verify_wreath reads pi_k at index (k - cells.start) mod p^m of the period
+    for k in {0, 1, b, b+1}; on every r <= 64 and prime p < 128 with a > 1 that
+    index is a cell congruent to k mod p^m."""
+    for p in filter(parith.is_prime, range(2, 128)):
+        for r in range(1, 65):
+            _, a, b, _ = parith.p_parts(r, p)
+            if a == 1:
+                continue
+            pm = p_power_at_least(r, p)[1]
+            cells = delta._period_cells(r, p)
+            for k in (0, 1, b, b + 1):
+                i = (k - cells.start) % pm
+                assert i < len(cells) and cells[i] % pm == k % pm, (r, p, k)
 
 
 def test_join_matches_the_orbit_walk():

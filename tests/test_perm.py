@@ -103,6 +103,9 @@ def test_parse_cycles_errors():
         parse_cycles("(1,5)", 4)  # point above degree
     with pytest.raises(CycleParseError):
         parse_cycles("1,2", 4)
+    for text in ("(1,2,)", "(1,)"):  # an empty item after a comma
+        with pytest.raises(CycleParseError, match="expected a point"):
+            parse_cycles(text, 4)
     err = None
     try:
         parse_cycles("(1,2)(9,3)", 4)
