@@ -2,8 +2,9 @@
 
 Six conditions are equivalent: staircase partition, trivial involution, the
 congruence rows on (r, s, p), all left gaps 1, all right gaps 0, all delta
-bits set. The library evaluates each side independently and refuses to return
-an answer if they ever disagree.
+bits set. Five of them are one fact of the delta route's cut points, so the
+library checks three routes (that fact, the fast path's involution and the
+congruence rows) and refuses to return an answer if they ever disagree.
 """
 
 from normanform import equivalence_report, standard_triple
@@ -26,7 +27,7 @@ for r in range(1, 13):
         row.append(f"{hits}/{pm}")
     print(f"{r:>3}  " + "  ".join(f"{c:<5}" for c in row))
 
-print("\nsix-way agreement, checked independently (raises on any split):")
+print("\nsix conditions, one verdict agreed by three routes (raises on any split):")
 rep = equivalence_report(6, 11, 3)
 for name, value in rep.conditions().items():
     print(f"  {name:<22} {value}")

@@ -19,7 +19,7 @@ from .parith import (PPartDecomposition, ensure_prime, is_prime, p_adic_valuatio
 from .perm import (CycleParseError, Permutation, compose, conjugate, embed,
                    format_cycles, identity, parse_cycles, rev, transposition)
 from .standardness import (EquivalenceReport, EquivalenceViolation, StandardnessReport,
-                           equivalence_report, standard_partition, standard_triple)
+                           equivalence_report, standard_triple)
 
 __version__ = "0.1.0"
 

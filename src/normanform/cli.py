@@ -30,15 +30,17 @@ class UsageError(ValueError):
 
 def _cap(args) -> dict:
     """The cap override, {} or {"cap": n} from --cap or else the NORMAN_CAP
-    environment variable; without one the library's defaults apply."""
+    environment variable, n >= 1; without one the library's defaults apply."""
     env = os.environ.get("NORMAN_CAP")
     try:
-        cap = {} if env is None else {"cap": int(env)}
+        source, cap = "NORMAN_CAP", None if env is None else int(env)
     except ValueError as exc:
         raise UsageError(f"NORMAN_CAP must be an integer, got {env!r}") from exc
     if getattr(args, "cap", None) is not None:
-        cap = {"cap": args.cap}
-    return cap
+        source, cap = "--cap", args.cap
+    if cap is not None and cap < 1:
+        raise UsageError(f"{source} must be >= 1, got {cap}")
+    return {} if cap is None else {"cap": cap}
 
 
 def _emit(args, text: str) -> None:

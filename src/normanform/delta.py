@@ -75,10 +75,6 @@ class DeltaProfile:
         cuts = self.cuts
         return tuple(d for lo, hi in zip(cuts, cuts[1:]) for d in range(hi - lo - 1, -1, -1))
 
-    def descent_set(self) -> tuple[int, ...]:
-        """T = {i in [r-1] : delta_i = 1}, the interior cut points."""
-        return self.cuts[1:-1]
-
 
 def _legendre_window(lo: int, hi: int, p: int) -> list[int]:
     """[G(lo), ..., G(hi)] for G(x) = F(x) - F(lo) - (x - lo) v_p(lo!), which

@@ -1,5 +1,12 @@
-"""Standardness of (r, s, p): the flat partition lambda_n = r+s+1-2n, the
-congruence criterion on the triple, and the six-way equivalence check.
+"""Standardness of (r, s, p): the congruence criterion on the triple, and a
+check that three independent routes agree on it.
+
+The paper's six equivalent conditions are the staircase lambda_n = r+s+1-2n,
+the identity pi, the congruence table, all L(n) = 1, all R(n) = 0 and all
+delta = 1. Five of them are one fact of the delta route's cut points: the
+profile has r + 1 of them. So the check compares three routes that share no
+code: that fact, the identity of pi from the fast path's base-p recursion,
+and the congruence criterion.
 """
 
 from __future__ import annotations
@@ -7,21 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import corr, jordan
+from . import jordan
 from .delta import delta_profile
 from .parith import check_rsp, p_power_at_least
 
 
 class EquivalenceViolation(RuntimeError):
-    """The six provably-equivalent standardness conditions disagreed (an implementation bug)."""
+    """The three provably equivalent standardness routes disagreed (an implementation bug)."""
 
-    def __init__(self, r: int, s: int, p: int, conditions: dict[str, bool]):
-        true_ones = sorted(k for k, v in conditions.items() if v)
-        false_ones = sorted(k for k, v in conditions.items() if not v)
+    def __init__(self, r: int, s: int, p: int, routes: dict[str, bool]):
+        odd = sum(routes.values()) == 1  # the value that only one route gives
+        self.route = next(name for name, v in routes.items() if v == odd)
         super().__init__(
-            f"standardness conditions disagree at (r,s,p)=({r},{s},{p}): "
-            f"true={true_ones}, false={false_ones}")
-        self.conditions = conditions
+            f"standardness route {self.route} differs at (r,s,p)=({r},{s},{p}): "
+            f"it says {routes[self.route]}, the other routes say {not routes[self.route]}")
 
 
 @dataclass(frozen=True)
@@ -73,52 +79,37 @@ def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     return StandardnessReport(r, s, p, m, matched_row=None, verdict=False)
 
 
-def standard_partition(lam: jordan.Partition, r: int, s: int) -> bool:
-    """True iff lambda_n = r + s + 1 - 2n for every n."""
-    if len(lam) != r:
-        raise ValueError(f"partition has {len(lam)} parts, expected r={r}")
-    return all(part == r + s + 1 - 2 * n for n, part in enumerate(lam.parts, start=1))
+# The six provably equivalent conditions, in the order of the `standard` payload.
+CONDITIONS = ("standard_partition", "identity_permutation", "standard_triple",
+              "all_left_gaps_one", "all_right_gaps_zero", "all_delta_one")
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The six standardness conditions as ordered (name, value) pairs, and the
-    congruence-criterion report behind the standard_triple one."""
+    """The congruence criterion's report; all six conditions share its verdict."""
 
     r: int
     s: int
     p: int
-    pairs: tuple[tuple[str, bool], ...]
     triple: StandardnessReport
-
-    def conditions(self) -> dict[str, bool]:
-        return dict(self.pairs)
 
     @property
     def verdict(self) -> bool:
-        return self.conditions()["standard_partition"]
+        return self.triple.verdict
+
+    def conditions(self) -> dict[str, bool]:
+        return dict.fromkeys(CONDITIONS, self.verdict)
 
 
 def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
-    """Evaluate all six conditions and insist they agree.
-
-    lambda, pi and the gaps come from one delta profile; the congruence
-    criterion does not use it. Disagreement raises EquivalenceViolation naming
-    the differing conditions; the six are provably equivalent, so a violation
-    is an implementation bug.
-    """
+    """Standardness by the three routes of the module docstring, which must agree:
+    they are provably equivalent, so a disagreement is an implementation bug and
+    raises EquivalenceViolation naming the route that differs."""
     p = check_rsp(r, s, p)
-    prof = delta_profile(r, s, p)
     triple = standard_triple(r, s, p)
-    lam = jordan._lam_at(s, corr._deviation_entries(prof.cuts))
-    report = EquivalenceReport(r, s, p, (
-        ("standard_partition", standard_partition(lam, r, s)),
-        ("identity_permutation", jordan._pi_at(prof.cuts).is_identity()),
-        ("standard_triple", triple.verdict),
-        ("all_left_gaps_one", all(v == 1 for v in prof.L)),
-        ("all_right_gaps_zero", all(v == 0 for v in prof.R)),
-        ("all_delta_one", all(prof.delta)),
-    ), triple)
-    if len({value for _, value in report.pairs}) != 1:
-        raise EquivalenceViolation(r, s, p, report.conditions())
-    return report
+    routes = {"delta_route": len(delta_profile(r, s, p).cuts) == r + 1,
+              "fast_path": jordan.pi_fast_path(r, s, p).perm.is_identity(),
+              "standard_triple": triple.verdict}
+    if len(set(routes.values())) != 1:
+        raise EquivalenceViolation(r, s, p, routes)
+    return EquivalenceReport(r, s, p, triple)

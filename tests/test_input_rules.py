@@ -62,7 +62,7 @@ def test_group_answers_r_one_in_every_mode(capsys):
     code, out = run(capsys, "group", "--r", "1", "--p", "2")
     assert code == 0 and json.loads(out)["verdict"] is True
     code, out = run(capsys, "group", "--r", "1", "--p", "2", "--cap", "0")
-    assert code == 2 and json.loads(out)["error"]["code"] == "resource-cap"
+    assert code == 2 and json.loads(out)["error"]["code"] == "usage"
 
 
 def test_grid_checks_rmax_before_primes(capsys):
@@ -79,3 +79,18 @@ def test_abbreviated_flags_are_rejected(capsys):
                  ("pi", "--r", "3", "--s", "4", "--p", "2", "--js")):
         code, out = run(capsys, *argv)
         assert code == 2 and out == "", argv
+
+
+def test_a_cap_below_one_is_a_usage_error(capsys, monkeypatch):
+    for argv, message in ((("group", "--r", "6", "--p", "3", "--cap", "0"), "--cap must be >= 1, got 0"),
+                          (("sweep", "--checks", "wreath", "--cap", "-1"), "--cap must be >= 1, got -1"),
+                          (("oracle", "--r", "2", "--s", "2", "--p", "2", "--cap", "0"),
+                           "--cap must be >= 1, got 0")):
+        code, out = run(capsys, *argv)
+        assert (code, json.loads(out)["error"]) == (2, {"code": "usage", "message": message}), argv
+    monkeypatch.setenv("NORMAN_CAP", "0")
+    code, out = run(capsys, "group", "--r", "6", "--p", "3")
+    assert (code, json.loads(out)["error"]) == (
+        2, {"code": "usage", "message": "NORMAN_CAP must be >= 1, got 0"})
+    code, out = run(capsys, "group", "--r", "6", "--p", "3", "--cap", "6")  # the flag wins
+    assert code == 0 and json.loads(out)["verdict"] is True

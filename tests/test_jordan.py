@@ -147,7 +147,6 @@ def test_interval_maps_have_one_home(monkeypatch):
     T = SubsetProfile(5, (2,))
     for call in (lambda: pi_of(5, 12, 3), lambda: lambda_of(5, 12, 3),
                  lambda: deviation(5, 12, 3), lambda: jordan_result(5, 12, 3),
-                 lambda: standardness.equivalence_report(5, 12, 3),
                  lambda: groupengine.group_generators(5, 3),
                  lambda: subset_to_perm(T), lambda: subset_to_eps(T)):
         with pytest.raises(AssertionError, match="interval map"):
@@ -220,7 +219,7 @@ def test_pi_equals_reversal_product_of_descents():
         for r in range(1, 15):
             for s in range(r, 15):
                 res = jordan_result(r, s, p)
-                T = SubsetProfile(r, res.profile.descent_set())
+                T = SubsetProfile(r, res.profile.cuts[1:-1])
                 assert subset_to_perm(T) == res.pi
                 assert res.epsilon == subset_to_eps(T)
                 L, R = res.profile.L, res.profile.R
@@ -278,10 +277,13 @@ def test_only_the_delta_route_skips_the_checks(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     r, s, p = 12, 10**12 + 5, 3
     jordan_result(r, s, p), lambda_of(r, s, p), pi_of(r, s, p), deviation(r, s, p)
-    standardness.equivalence_report(r, s, p), groupengine.group_generators(r, p)
+    groupengine.group_generators(r, p)
     assert set(counts.values()) == {0}
-    # the independent routes still validate what they return
+    # the independent routes still validate what they return; the equivalence
+    # report checks only the fast path's permutation
+    standardness.equivalence_report(r, s, p)
+    assert counts == {Partition: 0, Permutation: 1, DeviationVector: 0}
     pi_fast_path(r, s, p)
-    assert counts[Permutation] == 1
+    assert counts[Permutation] == 2
     oracle.oracle_lambda(6, 9, 3)
     assert counts[Partition] == 1

@@ -1,9 +1,13 @@
+import dataclasses
+import json
+
 import pytest
 
-from normanform.jordan import Partition, lambda_of
+from normanform import delta, jordan, standardness
+from normanform.cli import main
+from normanform.jordan import lambda_of
 from normanform.parith import is_prime, p_power_at_least
-from normanform.standardness import (equivalence_report, standard_partition,
-                                     standard_triple)
+from normanform.standardness import EquivalenceViolation, equivalence_report, standard_triple
 
 
 def test_row_1_always_standard():
@@ -46,14 +50,6 @@ def test_row_4_quantities_populated():
     assert standard_triple(2, 3, 5).a is None
 
 
-def test_standard_partition():
-    assert standard_partition(Partition((3, 1)), 2, 2)
-    assert not standard_partition(Partition((2, 2)), 2, 2)
-    assert standard_partition(Partition((7, 5, 3, 1)), 4, 4)
-    with pytest.raises(ValueError):
-        standard_partition(Partition((3, 1)), 3, 2)
-
-
 def test_equivalence_examples():
     rep = equivalence_report(3, 6, 2)
     assert all(rep.conditions().values())
@@ -71,6 +67,41 @@ def test_six_way_sweep_small():
                 equivalence_report(r, s, p)  # raises on any disagreement
 
 
+def _drop_a_cut_point(monkeypatch):
+    cuts = delta._cuts
+    monkeypatch.setattr(delta, "_cuts", lambda vals: cuts(vals)[:1] + cuts(vals)[2:])
+
+
+def _staircase_recursion(monkeypatch):
+    monkeypatch.setattr(jordan, "_lam", lambda r, s, p: (
+        "staircase", [r + s + 1 - 2 * n for n in range(1, r + 1)]))
+
+
+def _flipped_criterion(monkeypatch):
+    criterion = standardness.standard_triple
+    monkeypatch.setattr(standardness, "standard_triple", lambda r, s, p: dataclasses.replace(
+        criterion(r, s, p), verdict=not criterion(r, s, p).verdict))
+
+
+@pytest.mark.parametrize("route, seed, cell", [
+    ("delta_route", _drop_a_cut_point, (3, 6, 2)),  # a standard cell loses a cut point
+    ("fast_path", _staircase_recursion, (2, 2, 2)),  # a non-standard cell reads the staircase
+    ("standard_triple", _flipped_criterion, (2, 2, 2)),
+])
+def test_a_seeded_wrong_route_is_named(capsys, monkeypatch, route, seed, cell):
+    seed(monkeypatch)
+    with pytest.raises(EquivalenceViolation, match=f"route {route} differs") as info:
+        equivalence_report(*cell)
+    assert info.value.route == route
+    r, s, p = map(str, cell)
+    assert main(["standard", "--r", r, "--s", s, "--p", p, "--json"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "verification-failure" and f"route {route} differs" in error["message"]
+    assert main(["sweep", "--checks", "six-way", "--rmax", "3", "--primes", "2"]) == 1
+    first_failure = capsys.readouterr().out.split("first failure", 1)[1]
+    assert f"standardness route {route} differs" in first_failure
+
+
 def test_large_characteristic_always_standard():
     primes = [p for p in range(2, 62) if is_prime(p)]
     for p in primes:
@@ -78,7 +109,8 @@ def test_large_characteristic_always_standard():
             for s in range(r, p + 2 - r + 1):
                 if p >= r + s - 1:
                     assert standard_triple(r, s, p).verdict, (r, s, p)
-                    assert standard_partition(lambda_of(r, s, p), r, s)
+                    assert lambda_of(r, s, p).parts == tuple(
+                        r + s + 1 - 2 * n for n in range(1, r + 1)), (r, s, p)
 
 
 def test_row_two_congruence_reformulation():
