@@ -146,17 +146,16 @@ def cmd_cell(args) -> int:
 
 
 def cmd_group(args) -> int:
-    cap = _cap(args)
     if args.census:
         _emit_json(args, {"r": args.r, "p": args.p,
-                          "census": ge.generator_census(args.r, args.p, **cap)})
+                          "census": ge.generator_census(args.r, args.p, **_cap(args))})
         return 0
     if args.blocks:
         b = p_parts(args.r, args.p).b
         _emit_json(args, {"r": args.r, "p": args.p, "b": b,
                           "blocks": [list(block) for block in ge.residue_blocks(args.r, b)]})
         return 0
-    report = ge.verify_wreath(args.r, args.p, **cap)
+    report = ge.verify_wreath(args.r, args.p, **_cap(args))
     _emit_json(args, {**dataclasses.asdict(report), "verdict": report.verdict})
     return 0 if report.verdict else 1
 
@@ -352,7 +351,7 @@ def cmd_sweep(args) -> int:
     for c in checks:
         if c not in _SWEEP_CHECKS:
             raise UsageError(f"unknown check {c!r}; known: {', '.join(sorted(_SWEEP_CHECKS))}")
-    cap = _cap(args)
+    cap = _cap(args) if {"oracle-equiv", "wreath"} & set(checks) else {}  # the checks that read it
     rows = [(r, s, p, name, okay, detail) for name in checks
             for r, s, p, okay, detail in _SWEEP_CHECKS[name](rmax, smax, primes, cap)]
     rows.sort(key=lambda row: (row[3], row[2], row[0], row[1]))
@@ -457,8 +456,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_json(args, {"error": {"code": "usage", "message": str(exc)}})
         return 2
-    except (oracle.DimensionCapExceeded, ge.DegreeCapExceeded) as exc:
-        _emit_json(args, {"error": {"code": "resource-cap", "message": str(exc)}})
+    except (oracle.DimensionCapExceeded, ge.DegreeCapExceeded,
+            MemoryError, OverflowError) as exc:  # the last two: Python refused a list of r entries
+        message = str(exc) or "out of memory"
+        _emit_json(args, {"error": {"code": "resource-cap", "message": message}})
         return 2
     except standardness.EquivalenceViolation as exc:
         _emit_json(args, {"error": {"code": "verification-failure", "message": str(exc)}})

@@ -63,11 +63,6 @@ class SubsetProfile:
         """Cut points 0 = t_0 < t_1 < ... < t_{k+1} = r, sentinels included."""
         return (0,) + self.members + (self.r,)
 
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        """The consecutive intervals [t_i + 1, t_{i+1}] as (lo, hi) pairs."""
-        cuts = self.cuts()
-        return tuple((lo + 1, hi) for lo, hi in zip(cuts, cuts[1:]))
-
 
 @dataclass(frozen=True)
 class DeviationVector:

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jordan import lambda_of
-from .parith import ensure_prime, p_power_at_least
+from .jordan import _lam
+from .parith import check_rsp, ensure_prime, p_power_at_least
 
 
-# p-part-step and above-period run over r = a * b with 2 <= a <= A_MAX and r <= R_CAP
+# p-part-step and above-period run over r = a * b with 2 <= a <= A_MAX
 A_MAX = 10
-R_CAP = 96
 
 
 class GreenIdentityViolation(RuntimeError):
@@ -47,8 +46,9 @@ class GreenIdentityReport:
 
 
 def decompose(r: int, s: int, p: int) -> GreenDecomposition:
-    """Multiset of parts of the Jordan partition, multiplicities collected."""
-    return GreenDecomposition(lambda_of(r, s, p).multiplicities())
+    """The runs of the Jordan partition from the recursion of `jordan`, parts descending."""
+    p = check_rsp(r, s, p)
+    return GreenDecomposition(tuple(sorted(_lam(r, s, p)[1].items(), reverse=True)))
 
 
 def _expected(pairs: list[tuple[int, int]]) -> GreenDecomposition:
@@ -89,8 +89,6 @@ def check_green_identities(p: int, e_max: int) -> GreenIdentityReport:
             if a % p == 0:
                 continue
             r = a * b
-            if r > R_CAP:
-                break
             check("p-part-step", (b, r), decompose(b + 1, r, p),
                   _expected([(r + b, 1), (r, b - 1), (r - b, 1)]))
             pm = p_power_at_least(r, p)[1]

@@ -1,7 +1,7 @@
 """The central computations: the Jordan partition lambda(r, s, p) of a tensor
 product of unipotent Jordan blocks, its Norman permutation pi(r, s, p), and the
-deviation vector, all via the delta route; plus a fast path, pi_fast_path, that
-reads pi off a base-p recursion for lambda with no Legendre sums.
+deviation vector, all via the delta route; plus _lam, a base-p recursion for
+lambda with no Legendre sums, read by pi_fast_path and green.decompose.
 
 The delta route ends at the cut points 0 = t_0 < ... < t_{k+1} = r of the delta
 profile, and reads everything from the two interval maps of `corr`.
@@ -14,17 +14,22 @@ The values skip their classes' checks, as the cut points rise strictly from 0 to
 r: pi is a bijection, lambda_n >= s - r + 1 >= 1 weakly decreases, and eps is a
 deviation vector by the triangle theorem of `corr`.
 
-The recursion, for r <= s, with lambda(r, s) = lambda(s, r) and q the least
-p-power >= r; the first step that applies is taken:
-- staircase, r <= 1 or r + s - 1 <= p: lambda_n = r + s + 1 - 2n (so lambda(0, s)
-  is empty). It precedes digits, which would call itself at q = p.
-- period, s = aq + b >= q: aq plus each part of lambda(r, b), padded with parts aq
-  up to r parts (Glasby, Praeger and Xia, J. Algebra 2016).
-- mirror, s < q < r + s, b = q - s: r - b parts q, and q - c for each c in lambda(b, r).
+The recursion carries lambda as runs {part: multiplicity}. Its parts are distinct,
+so, largest first, the multiplicities are the interval lengths and their partial
+sums the cut points. For r <= s, with lambda(r, s) = lambda(s, r) and q the least
+p-power >= r, the first step that applies is taken:
+- staircase, r <= 1 or r + s - 1 <= p: each part r + s + 1 - 2n, n in [r], once
+  (lambda(0, s) has no runs). It precedes digits, which would call itself at q = p.
+- period, s = aq + b >= q: the runs of lambda(r, b) shifted by aq, and a run aq
+  of multiplicity r - b if b < r (Glasby, Praeger and Xia, J. Algebra 2016).
+- mirror, s < q < r + s, b = q - s: the runs c of lambda(b, r) reflected to
+  q - c, and a run q of multiplicity r - b.
 - digits, r + s <= q, Q = q/p, r = r0 Q + r1, s = s0 Q + s1 (0 <= r1, s1 < Q), in
-  the manner of Renaud (J. Algebra 1979): (m - 1)Q + c for m in lambda(r0+1, s0+1),
-  c in lambda(r1, s1); (m + 1)Q - c for m in lambda(r0, s0), c in lambda(Q-r1, Q-s1);
-  and |s1 - r1| copies of mQ for m in lambda(r0, s0+1) if r1 < s1, else lambda(r0+1, s0).
+  the manner of Renaud (J. Algebra 1979): (m - 1)Q + c for runs m of
+  lambda(r0+1, s0+1) and c of lambda(r1, s1), and (m + 1)Q - c for runs m of
+  lambda(r0, s0) and c of lambda(Q-r1, Q-s1), of the product multiplicity; and
+  mQ, |s1 - r1| times as often as m, for runs m of lambda(r0, s0+1) if r1 < s1,
+  else of lambda(r0+1, s0). The multiplicities of a part that two pairs give add.
 """
 
 from __future__ import annotations
@@ -60,16 +65,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def multiplicities(self) -> tuple[tuple[int, int], ...]:
-        """(part, multiplicity) pairs, parts descending."""
-        out: list[tuple[int, int]] = []
-        for part in self.parts:
-            if out and out[-1][0] == part:
-                out[-1] = (part, out[-1][1] + 1)
-            else:
-                out.append((part, 1))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -127,36 +122,50 @@ class FastPathResult:
 
 
 def pi_fast_path(r: int, s: int, p: int) -> FastPathResult:
-    """pi(r, s, p) as n -> r + 1 - n + s - lambda_n, with lambda from the base-p
-    recursion of the module docstring; the delta route is never consulted, so the
-    value is an independent check of pi_of."""
+    """pi(r, s, p) as n -> r + 1 - n + s - lambda_n, written run by run, with lambda
+    from the base-p recursion of the module docstring; the delta route is never
+    consulted, so the value is an independent check of pi_of."""
     p = check_rsp(r, s, p)
-    rule, parts = _lam(r, s, p)
-    images = (r + 1 - n + s - part for n, part in enumerate(sorted(parts, reverse=True), 1))
+    rule, runs = _lam(r, s, p)
+    images: list[int] = []
+    for part in sorted(runs, reverse=True):  # the run of part holds n in (lo, lo + runs[part]]
+        lo = len(images)
+        images.extend(range(r + s - part - lo, r + s - part - lo - runs[part], -1))
     return FastPathResult(Permutation(tuple(images)), rule)
 
 
-def _lam(r: int, s: int, p: int) -> tuple[str, list[int]]:
-    """The step taken for lambda(min(r, s), max(r, s), p), and its parts in no order."""
+def _lam(r: int, s: int, p: int) -> tuple[str, dict[int, int]]:
+    """The step taken for lambda(min(r, s), max(r, s), p), and its runs {part: multiplicity}."""
     r, s = min(r, s), max(r, s)
     if r <= 1 or r + s - 1 <= p:
-        return "staircase", [r + s + 1 - 2 * n for n in range(1, r + 1)]
+        return "staircase", dict.fromkeys(range(r + s - 1, s - r, -2), 1)
     q = p_power_at_least(r, p)[1]
     if s >= q:
         a, b = divmod(s, q)
-        inner = [a * q + c for c in _lam(r, b, p)[1]]
-        return "period", inner + [a * q] * (r - len(inner))
+        runs = {a * q + c: k for c, k in _lam(r, b, p)[1].items()}
+        if b < r:
+            runs[a * q] = r - b
+        return "period", runs
     if r + s > q:
         b = q - s
-        return "mirror", [q] * (r - b) + [q - c for c in _lam(b, r, p)[1]]
+        runs = {q - c: k for c, k in _lam(b, r, p)[1].items()}
+        runs[q] = r - b
+        return "mirror", runs
     Q = q // p
     r0, r1 = divmod(r, Q)
     s0, s1 = divmod(s, Q)
-    low, high = _lam(r1, s1, p)[1], _lam(Q - r1, Q - s1, p)[1]
-    out = [(m - 1) * Q + c for m in _lam(r0 + 1, s0 + 1, p)[1] for c in low]
-    out += [(m + 1) * Q - c for m in _lam(r0, s0, p)[1] for c in high]
-    middle = _lam(r0, s0 + 1, p)[1] if r1 < s1 else _lam(r0 + 1, s0, p)[1]
-    return "digits", out + [m * Q for m in middle for _ in range(abs(s1 - r1))]
+    runs = {}
+    for outer, inner, sign in ((_lam(r0 + 1, s0 + 1, p)[1], _lam(r1, s1, p)[1], 1),
+                               (_lam(r0, s0, p)[1], _lam(Q - r1, Q - s1, p)[1], -1)):
+        for m, k in outer.items():
+            for c, j in inner.items():
+                part = (m - sign) * Q + sign * c
+                runs[part] = runs.get(part, 0) + k * j
+    if r1 != s1:
+        middle = _lam(r0, s0 + 1, p)[1] if r1 < s1 else _lam(r0 + 1, s0, p)[1]
+        for m, k in middle.items():
+            runs[m * Q] = runs.get(m * Q, 0) + k * abs(s1 - r1)
+    return "digits", runs
 
 
 def pi3_classes(p: int) -> list[tuple[str, range, Permutation]]:

@@ -60,30 +60,21 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least point, sorted by least point."""
-        return cycles_of(self.images)
+        seen = [False] * (self.degree + 1)
+        out = []
+        for start, n in enumerate(self.images, start=1):
+            if seen[start] or n == start:
+                continue
+            cyc = [start]
+            while n != start:
+                seen[n] = True
+                cyc.append(n)
+                n = self.images[n - 1]
+            out.append(tuple(cyc))
+        return tuple(out)
 
     def __str__(self) -> str:
         return format_cycles(self)
-
-
-def cycles_of(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Nontrivial cycles of the bijection with these one-line images, which
-    are taken as valid unchecked; each starts at its least point, sorted by
-    least point."""
-    seen = [False] * (len(images) + 1)
-    out = []
-    for start in range(1, len(images) + 1):
-        if seen[start] or images[start - 1] == start:
-            continue
-        cyc = [start]
-        seen[start] = True
-        n = images[start - 1]
-        while n != start:
-            seen[n] = True
-            cyc.append(n)
-            n = images[n - 1]
-        out.append(tuple(cyc))
-    return tuple(out)
 
 
 def identity(r: int) -> Permutation:

@@ -154,6 +154,13 @@ def test_green_cli(capsys):
                                    {"dim": 3, "mult": 1}]
 
 
+def test_green_cli_at_r_10_to_the_18(capsys):
+    r, s = 10**18, 10**18 + 1
+    code, payload = run_json(capsys, "green", "--r", str(r), "--s", str(s), "--p", "2")
+    assert code == 0
+    assert sum(row["dim"] * row["mult"] for row in payload["summands"]) == r * s
+
+
 def test_group_cli(capsys):
     code, payload = run_json(capsys, "group", "--r", "6", "--p", "3", "--verify")
     assert code == 0 and payload["verdict"] is True and payload["order"] == 48

@@ -75,7 +75,6 @@ def test_subset_profile_validation():
     with pytest.raises(ValueError):
         SubsetProfile(4, (4,))
     assert SubsetProfile(4, (2,)).cuts() == (0, 2, 4)
-    assert SubsetProfile(4, (1, 3)).intervals() == ((1, 1), (2, 3), (4, 4))
 
 
 def test_subset_to_perm_examples():

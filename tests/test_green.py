@@ -36,6 +36,12 @@ def test_check_identities_small_primes():
         assert {"unit", "adjacent", "p-part-step", "above-period"} <= names
 
 
+def test_identities_reach_b_near_10_to_the_18():
+    for p, e_max in ((2, 59), (3, 37), (5, 25), (7, 21)):
+        report = check_green_identities(p, e_max)
+        assert max(params[0] for _, params, _ in report.instances) == p**e_max > 2 * 10**17
+
+
 def test_explicit_identity_instances():
     # V_6 (x) V_13 = V_18 + 2 V_15 + V_12 + 2 V_9 over GF(3)
     assert decompose(6, 13, 3).summands == ((18, 1), (15, 2), (12, 1), (9, 2))
@@ -48,11 +54,7 @@ def test_explicit_identity_instances():
 def test_identity_violation_failure_path(monkeypatch):
     import normanform.green as green_mod
 
-    def lying_lambda(r, s, p):
-        from normanform.jordan import Partition
-        return Partition((r * s,))
-
-    monkeypatch.setattr(green_mod, "lambda_of", lying_lambda)
+    monkeypatch.setattr(green_mod, "_lam", lambda r, s, p: ("staircase", {r * s: 1}))
     with pytest.raises(GreenIdentityViolation):
         check_green_identities(3, e_max=1)
 

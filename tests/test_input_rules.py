@@ -94,3 +94,30 @@ def test_a_cap_below_one_is_a_usage_error(capsys, monkeypatch):
         2, {"code": "usage", "message": "NORMAN_CAP must be >= 1, got 0"})
     code, out = run(capsys, "group", "--r", "6", "--p", "3", "--cap", "6")  # the flag wins
     assert code == 0 and json.loads(out)["verdict"] is True
+
+
+def test_the_cap_is_read_only_where_a_run_uses_it(capsys, monkeypatch):
+    monkeypatch.setenv("NORMAN_CAP", "x")
+    assert run(capsys, "sweep", "--checks", "six-way", "--rmax", "2", "--primes", "2") == (
+        0, "six-way: 5/5 passed\n")
+    for argv in (("group", "--verify", "--r", "4", "--p", "2"),
+                 ("group", "--census", "--r", "4", "--p", "2"),
+                 ("oracle", "--r", "2", "--s", "2", "--p", "2"),
+                 ("sweep", "--checks", "wreath,oracle-equiv", "--rmax", "2", "--primes", "2")):
+        code, out = run(capsys, *argv)
+        assert (code, json.loads(out)["error"]) == (2, {
+            "code": "usage", "message": "NORMAN_CAP must be an integer, got 'x'"}), argv
+    monkeypatch.setenv("NORMAN_CAP", "0")
+    assert run(capsys, "group", "--blocks", "--r", "4", "--p", "2") == (
+        0, '{"r": 4, "p": 2, "b": 4, "blocks": [[1], [2], [3], [4]]}\n')
+
+
+def test_a_list_of_r_entries_too_large_is_a_resource_cap(capsys):
+    # from r = 2 * 10^18 on Python refuses the list size before allocating it
+    for r in (2 * 10**18, 10**20):
+        for command in ("lambda", "pi", "delta", "standard"):
+            code, out = run(capsys, command, "--r", str(r), "--s", str(r), "--p", "3")
+            assert (code, json.loads(out)["error"]["code"]) == (2, "resource-cap"), (command, r)
+    code, out = run(capsys, "group", "--census", "--r", str(10**20), "--p", "3",
+                    "--cap", str(10**20))
+    assert (code, json.loads(out)["error"]["code"]) == (2, "resource-cap")

@@ -1,4 +1,6 @@
+import random
 import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from normanform import corr, delta, green, groupengine, oracle, parith, standardness
 from normanform.corr import (DeviationVector, reversal_cuts, subset_to_eps, subset_to_perm,
                              SubsetProfile)
-from normanform.jordan import (Partition, deviation, jordan_result, lambda_of,
+from normanform.jordan import (Partition, _lam, deviation, jordan_result, lambda_of,
                                pi3_value, pi_fast_path, pi_of)
 from normanform.parith import p_parts, p_power_at_least
 from normanform.perm import Permutation, compose, conjugate, format_cycles, identity, rev
@@ -15,7 +17,6 @@ from normanform.perm import Permutation, compose, conjugate, format_cycles, iden
 def test_partition_type():
     part = Partition((4, 4, 1))
     assert part.size == 9 and len(part) == 3
-    assert part.multiplicities() == ((4, 2), (1, 1))
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -111,6 +112,23 @@ def test_fast_path_agrees_with_delta_route():
 def test_fast_path_matches_pi_of_random(r, ds, p):
     s = min(r + ds, 10**12)
     assert pi_fast_path(r, s, p).perm == pi_of(r, s, p), (r, s, p)
+
+
+def test_runs_give_the_cut_points_of_the_delta_route():
+    # largest part first, the multiplicities of the runs are the interval lengths
+    cells = [(r, s, p) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 31) for s in range(r, 31)]
+    rng = random.Random(27)
+    for _ in range(200):
+        r = rng.randint(1, 10**4)
+        cells.append((r, rng.randint(r, 10**18), rng.choice((2, 3, 5, 7, 101, 10**9 + 7))))
+    for r, s, p in cells:
+        runs = _lam(r, s, p)[1]
+        assert all(k > 0 for k in runs.values()), (r, s, p)
+        parts = sorted(runs, reverse=True)
+        cuts = (0, *accumulate(runs[part] for part in parts))
+        assert cuts == delta.delta_profile(r, s, p).cuts, (r, s, p)
+        lam = lambda_of(r, s, p).parts
+        assert [lam[t] for t in cuts[:-1]] == parts, (r, s, p)
 
 
 def test_fast_path_rules_name_the_top_step():

@@ -74,7 +74,7 @@ def _drop_a_cut_point(monkeypatch):
 
 def _staircase_recursion(monkeypatch):
     monkeypatch.setattr(jordan, "_lam", lambda r, s, p: (
-        "staircase", [r + s + 1 - 2 * n for n in range(1, r + 1)]))
+        "staircase", dict.fromkeys(range(r + s - 1, s - r, -2), 1)))
 
 
 def _flipped_criterion(monkeypatch):
