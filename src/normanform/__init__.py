@@ -18,8 +18,8 @@ from .parith import (PPartDecomposition, ensure_prime, is_prime, p_adic_valuatio
                      p_parts, p_power_at_least)
 from .perm import (CycleParseError, Permutation, compose, conjugate, embed,
                    format_cycles, identity, parse_cycles, rev, transposition)
-from .standardness import (EquivalenceReport, EquivalenceViolation, StandardnessReport,
-                           equivalence_report, standard_triple)
+from .standardness import (EquivalenceViolation, StandardnessReport, equivalence_report,
+                           standard_triple)
 
 __version__ = "0.1.0"
 

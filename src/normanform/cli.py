@@ -21,7 +21,7 @@ from . import groupengine as ge
 from . import jordan, oracle, standardness
 from .delta import _period_cells, delta_profile
 from .parith import ensure_prime, p_parts, p_power_at_least
-from .perm import format_cycles, parse_cycles
+from .perm import parse_cycles
 
 
 class UsageError(ValueError):
@@ -90,11 +90,10 @@ def _cell_query(r, s, p, args):
 
 
 def _cell_standard(r, s, p, args):
-    equiv = standardness.equivalence_report(r, s, p)
-    report = equiv.triple
+    report = standardness.equivalence_report(r, s, p)
     row = "none" if report.matched_row is None else str(report.matched_row)
     return ({"m": report.m, "matched_row": report.matched_row, "verdict": report.verdict,
-             "conditions": equiv.conditions()},
+             "conditions": report.conditions()},
             f"standard={str(report.verdict).lower()} row={row}")
 
 
@@ -183,7 +182,7 @@ def cmd_corr(args) -> int:
         "r": T.r,
         "subset": list(T.members),
         "epsilon": list(corr_mod.subset_to_eps(T).entries),
-        "pi": format_cycles(corr_mod.subset_to_perm(T)),
+        "pi": corr_mod._reversal_cycles(T.cuts()),
     })
     return 0
 
@@ -194,29 +193,29 @@ def cmd_corr(args) -> int:
 def _pi3_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str]], bool]:
     """Rows (class, value, status) of the small-r table for one prime: the delta
     route at s, s + q and s + 2q for each cell s of delta._period_cells(3, p), which
-    take every value over one period q in s, compared against the value of each
+    take every value over one period q in s, compared by cut points against each
     class of jordan.pi3_classes."""
     q = p_power_at_least(3, p)[1]
     cells = _period_cells(3, p)
     rows = []
     ok = True
-    for label, residues, value in jordan.pi3_classes(p):
+    for label, residues, cuts in jordan.pi3_classes(p):
         if not residues:
             rows.append((label, "()", "vacuous"))
             continue
-        values = {jordan.pi_of(3, s + k * q, p) for s in cells if s % q in residues
+        values = {delta_profile(3, s + k * q, p).cuts for s in cells if s % q in residues
                   for k in range(3)}
-        if values == {value}:
-            rows.append((label, format_cycles(value), "ok"))
+        if values == {cuts}:
+            rows.append((label, corr_mod._reversal_cycles(cuts), "ok"))
         else:
             ok = False
-            rows.append((label, "|".join(sorted(format_cycles(v) for v in values)), "FAIL"))
+            rows.append((label, "|".join(sorted(map(corr_mod._reversal_cycles, values))), "FAIL"))
     return rows, ok
 
 
 def _small_s_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str, str]], bool]:
-    """Rows (case, formula, r-range, status): each closed form of jordan.SMALL_RESIDUES
-    against the delta route at s = p^m + case."""
+    """Rows (case, formula, r-range, status): the cut points of each closed form of
+    jordan.SMALL_RESIDUES against those of the delta route at s = p^m + case."""
     rows = []
     all_ok = True
     for case, form in jordan.SMALL_RESIDUES.items():
@@ -224,7 +223,7 @@ def _small_s_rows(p: int, rmax: int) -> tuple[list[tuple[str, str, str, str]], b
             rows.append((str(case), form.formula, "()", "vacuous"))
             continue
         failures = [r for r in range(form.rmin, rmax + 1)
-                    if jordan.pi_of(r, p_power_at_least(r, p)[1] + case, p)
+                    if delta_profile(r, p_power_at_least(r, p)[1] + case, p).cuts
                     != form.value(r, p)]
         status = "ok" if not failures else "FAIL(r=" + ",".join(map(str, failures)) + ")"
         all_ok = all_ok and not failures

@@ -11,7 +11,7 @@ only home of these formulas: subset_to_perm and subset_to_eps read them at T's
 cut points, and the delta route of `jordan` at the cut points of the delta
 profile, where lambda = s + eps is Norman's lambda and pi his involution.
 _reversal_cycles writes the cycle text of the reversal product straight from
-the cut points, for the CLI's pi.
+the cut points, for every pi the CLI prints.
 """
 
 from __future__ import annotations

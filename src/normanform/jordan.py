@@ -1,7 +1,8 @@
 """The central computations: the Jordan partition lambda(r, s, p) of a tensor
 product of unipotent Jordan blocks, its Norman permutation pi(r, s, p), and the
 deviation vector, all via the delta route; plus _lam, a base-p recursion for
-lambda with no Legendre sums, read by pi_fast_path and green.decompose.
+lambda with no Legendre sums, read by pi_fast_path and green.decompose; and the
+closed forms of the paper's tables for pi, pi3_classes and SMALL_RESIDUES, as cut points.
 
 The delta route ends at the cut points 0 = t_0 < ... < t_{k+1} = r of the delta
 profile, and reads everything from the two interval maps of `corr`.
@@ -41,7 +42,7 @@ from . import corr
 from .corr import DeviationVector
 from .delta import DeltaProfile, delta_profile
 from .parith import check_rsp, ensure_prime, p_power_at_least
-from .perm import Permutation, compose, embed, identity, rev, transposition
+from .perm import Permutation
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,20 @@ def _lam(r: int, s: int, p: int) -> tuple[str, dict[int, int]]:
     return "digits", runs
 
 
-def pi3_classes(p: int) -> list[tuple[str, range, Permutation]]:
-    """(label, residues, value) for each class of s mod q in the small-r table of
-    pi(3, s, p), where q, the least p-power >= 3 (p^2 for p = 2, else p), is its
+def pi3_classes(p: int) -> list[tuple[str, range, tuple[int, ...]]]:
+    """(label, residues, cut points) for each class of s mod q in the small-r table
+    of pi(3, s, p), where q, the least p-power >= 3 (p^2 for p = 2, else p), is its
     period in s. The "otherwise" class is empty for p = 3."""
     q = p_power_at_least(3, p)[1]
-    return [("0", range(0, 1), rev(1, 3, 3)), ("1", range(1, 2), rev(2, 3, 3)),
-            ("-1", range(q - 1, q), transposition(1, 2, 3)),
-            ("otherwise", range(2, q - 1), identity(3))]
+    return [("0", range(0, 1), (0, 3)), ("1", range(1, 2), (0, 1, 3)),
+            ("-1", range(q - 1, q), (0, 2, 3)), ("otherwise", range(2, q - 1), (0, 1, 2, 3))]
 
 
-def pi3_value(s: int, p: int) -> Permutation:
-    """pi(3, s, p): the value of the class in pi3_classes that holds s mod q."""
+def pi3_value(s: int, p: int) -> tuple[int, ...]:
+    """The cut points of pi(3, s, p): those of the class in pi3_classes that holds s mod q."""
     p = ensure_prime(p)
     x = s % p_power_at_least(3, p)[1]
-    return next(value for _, residues, value in pi3_classes(p) if x in residues)
+    return next(cuts for _, residues, cuts in pi3_classes(p) if x in residues)
 
 
 class SmallResidueForm(NamedTuple):
@@ -190,16 +190,15 @@ class SmallResidueForm(NamedTuple):
 
     formula: str  # as `table --name small-s` prints it
     rmin: int
-    value: Callable[[int, int], Permutation]  # (r, p) -> pi(r, p^m + residue, p)
+    value: Callable[[int, int], tuple[int, ...]]  # (r, p) -> cut points of pi(r, p^m + residue, p)
 
 
 # The closed forms at the residues 0..3, which `table --name small-s` checks
-# against the delta route.
+# against the cut points of the delta route.
 SMALL_RESIDUES = {
-    0: SmallResidueForm("Rev(1,r)", 1, lambda r, p: rev(1, r, r)),
-    1: SmallResidueForm("Rev(2,r)", 2, lambda r, p: rev(2, r, r)),
-    2: SmallResidueForm("(1,2)Rev(3,r) if p|r else Rev(3,r)", 3, lambda r, p: (
-        rev(3, r, r) if r % p else compose(transposition(1, 2, r), rev(3, r, r)))),
-    3: SmallResidueForm("pi(3,r,p)Rev(4,r)", 4, lambda r, p: compose(
-        embed(pi3_value(r, p), r), rev(4, r, r))),
+    0: SmallResidueForm("Rev(1,r)", 1, lambda r, p: (0, r)),
+    1: SmallResidueForm("Rev(2,r)", 2, lambda r, p: (0, 1, r)),
+    2: SmallResidueForm("(1,2)Rev(3,r) if p|r else Rev(3,r)", 3,
+                        lambda r, p: (0, 1, 2, r) if r % p else (0, 2, r)),
+    3: SmallResidueForm("pi(3,r,p)Rev(4,r)", 4, lambda r, p: (*pi3_value(r, p), r)),
 }

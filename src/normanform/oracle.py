@@ -72,6 +72,7 @@ checks the oracle against the dense reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -115,7 +116,6 @@ def _partition_from_ranks(dimension: int, ranks: list[int]) -> Partition:
         if width < 0:
             raise RuntimeError("rank sequence is not convex; arithmetic fault")
         parts.extend([k] * width)
-    parts.sort(reverse=True)
     return Partition(tuple(parts))
 
 
@@ -232,12 +232,9 @@ def nilpotent_mu(r: int, s: int, p: int, cap: int = DEFAULT_CAP) -> Partition:
     multiplicities; an odd leftover multiplicity is a verification failure.
     """
     part = oracle_nilpotent(r, s, p, cap=cap)
-    counts: dict[int, int] = {}
-    for v in part.parts:
-        counts[v] = counts.get(v, 0) + 1
-    if counts.get(r, 0) < s - r + 1:
-        raise RuntimeError(
-            f"part {r} has multiplicity {counts.get(r, 0)} < s-r+1 = {s - r + 1}")
+    counts = Counter(part.parts)
+    if counts[r] < s - r + 1:
+        raise RuntimeError(f"part {r} has multiplicity {counts[r]} < s-r+1 = {s - r + 1}")
     counts[r] -= s - r + 1
     mu: list[int] = []
     for v in sorted(counts, reverse=True):

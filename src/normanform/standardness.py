@@ -6,7 +6,8 @@ the identity pi, the congruence table, all L(n) = 1, all R(n) = 0 and all
 delta = 1. Five of them are one fact of the delta route's cut points: the
 profile has r + 1 of them. So the check compares three routes that share no
 code: that fact, the identity of pi from the fast path's base-p recursion,
-and the congruence criterion.
+and the congruence criterion. Once they agree, equivalence_report returns the
+criterion's own report, whose one verdict answers all six (conditions()).
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ class StandardnessReport:
     i: Optional[int] = None
     j: Optional[int] = None
 
+    def conditions(self) -> dict[str, bool]:
+        """The six equivalent conditions of the module docstring, each with the verdict."""
+        return dict.fromkeys(CONDITIONS, self.verdict)
+
+
+# The six provably equivalent conditions, in the order of the `standard` payload.
+CONDITIONS = ("standard_partition", "identity_permutation", "standard_triple",
+              "all_left_gaps_one", "all_right_gaps_zero", "all_delta_one")
+
 
 def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     """Decide standardness of (r, s, p) by the congruence table.
@@ -79,32 +89,11 @@ def standard_triple(r: int, s: int, p: int) -> StandardnessReport:
     return StandardnessReport(r, s, p, m, matched_row=None, verdict=False)
 
 
-# The six provably equivalent conditions, in the order of the `standard` payload.
-CONDITIONS = ("standard_partition", "identity_permutation", "standard_triple",
-              "all_left_gaps_one", "all_right_gaps_zero", "all_delta_one")
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """The congruence criterion's report; all six conditions share its verdict."""
-
-    r: int
-    s: int
-    p: int
-    triple: StandardnessReport
-
-    @property
-    def verdict(self) -> bool:
-        return self.triple.verdict
-
-    def conditions(self) -> dict[str, bool]:
-        return dict.fromkeys(CONDITIONS, self.verdict)
-
-
-def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
-    """Standardness by the three routes of the module docstring, which must agree:
-    they are provably equivalent, so a disagreement is an implementation bug and
-    raises EquivalenceViolation naming the route that differs."""
+def equivalence_report(r: int, s: int, p: int) -> StandardnessReport:
+    """The congruence criterion's report, once the three routes of the module
+    docstring agree on its verdict: they are provably equivalent, so a disagreement
+    is an implementation bug and raises EquivalenceViolation naming the route that
+    differs."""
     p = check_rsp(r, s, p)
     triple = standard_triple(r, s, p)
     routes = {"delta_route": len(delta_profile(r, s, p).cuts) == r + 1,
@@ -112,4 +101,4 @@ def equivalence_report(r: int, s: int, p: int) -> EquivalenceReport:
               "standard_triple": triple.verdict}
     if len(set(routes.values())) != 1:
         raise EquivalenceViolation(r, s, p, routes)
-    return EquivalenceReport(r, s, p, triple)
+    return triple

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from normanform import parith, standardness
+from normanform import jordan, perm
 from normanform.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,6 +261,34 @@ def test_table_pi3(capsys):
 def test_table_small_s(capsys):
     code, out = run(capsys, "table", "--name", "small-s", "--primes", "2", "--rmax", "10")
     assert code == 0 and "FAIL" not in out
+
+
+def test_table_rows_fail_on_a_wrong_closed_form(capsys, monkeypatch):
+    classes = jordan.pi3_classes
+    monkeypatch.setattr(jordan, "pi3_classes", lambda p: [
+        (label, residues, (0, 1, 2, 3) if label == "0" else cuts)
+        for label, residues, cuts in classes(p)])
+    code, out = run(capsys, "table", "--name", "pi3", "--primes", "5")
+    assert code == 1 and out.splitlines()[2].split() == ["0", "(1,3)", "FAIL"]
+    monkeypatch.setitem(jordan.SMALL_RESIDUES, 1, jordan.SmallResidueForm(
+        "Rev(2,r)", 2, lambda r, p: (0, 1, r) if r % 2 else (0, r)))
+    code, out = run(capsys, "table", "--name", "small-s", "--primes", "3", "--rmax", "6")
+    assert code == 1 and out.splitlines()[3].split()[-1] == "FAIL(r=2,4,6)"
+
+
+def test_every_printed_pi_is_written_from_cut_points(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the cycle walk was called")
+
+    monkeypatch.setattr(perm.Permutation, "cycles", refuse)
+    assert run(capsys, "table", "--name", "pi3", "--primes", "2,3,5,7") == (
+        0, (GOLDEN / "table_pi3_p2357.txt").read_text())
+    assert run_json(capsys, "corr", "--t", "1", "--r", "4") == (
+        0, {"r": 4, "subset": [1], "epsilon": [3, -1, -1, -1], "pi": "(2,4)"})
+    assert run_json(capsys, "corr", "--pi", "(1,2)", "--r", "3") == (
+        0, {"r": 3, "subset": [2], "epsilon": [1, 1, -2], "pi": "(1,2)"})
+    assert run(capsys, "pi", "--r", "4", "--s", "6", "--p", "3") == (0, "(2,3)\n")
+    assert run_json(capsys, "pi", "--r", "4", "--s", "6", "--p", "3", "--json")[1]["pi"] == "(2,3)"
 
 
 def test_table_small_s_empty_range_is_vacuous(capsys):

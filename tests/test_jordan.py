@@ -10,6 +10,7 @@ from normanform.corr import (DeviationVector, reversal_cuts, subset_to_eps, subs
                              SubsetProfile)
 from normanform.jordan import (Partition, _lam, deviation, jordan_result, lambda_of,
                                pi3_value, pi_fast_path, pi_of)
+from normanform.jordan import SMALL_RESIDUES
 from normanform.parith import p_parts, p_power_at_least
 from normanform.perm import Permutation, compose, conjugate, format_cycles, identity, rev
 
@@ -178,7 +179,26 @@ def test_pi3_value_matches_the_delta_route():
     for p in (2, 3, 5, 7, 11, 13):
         q = p_power_at_least(3, p)[1]
         for s in range(3, 3 + 3 * q):
-            assert pi3_value(s, p) == pi_of(3, s, p), (s, p)
+            assert pi3_value(s, p) == delta.delta_profile(3, s, p).cuts, (s, p)
+
+
+def test_pi3_value_matches_the_delta_route_at_larger_primes():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        q = p_power_at_least(3, p)[1]
+        for s in range(3, 3 + 2 * q):
+            assert pi3_value(s, p) == delta.delta_profile(3, s, p).cuts, (s, p)
+    p = 10**9 + 7
+    for s in (5, p - 1, p, p + 1, 2 * p + 2, 10**12):
+        assert pi3_value(s, p) == delta.delta_profile(3, s, p).cuts, s
+
+
+def test_small_residue_forms_match_the_delta_route():
+    # the table small-s golden stops at r = 25 and p = 5
+    for p in (2, 3, 5, 7, 11):
+        for case, form in SMALL_RESIDUES.items():
+            for r in range(form.rmin, 201):
+                s = p_power_at_least(r, p)[1] + case
+                assert form.value(r, p) == delta.delta_profile(r, s, p).cuts, (case, r, p)
 
 
 def test_periodicity():

@@ -59,6 +59,15 @@ def test_equivalence_examples():
     assert all(rep.conditions().values())
 
 
+def test_one_report_answers_all_six_conditions():
+    for cell, verdict in (((3, 6, 2), True), ((2, 2, 2), False)):
+        for report in (standard_triple(*cell), equivalence_report(*cell)):
+            assert isinstance(report, standardness.StandardnessReport)
+            assert report.conditions() == dict.fromkeys(standardness.CONDITIONS, verdict)
+            assert len(report.conditions()) == 6
+        assert equivalence_report(*cell) == standard_triple(*cell)
+
+
 def test_six_way_sweep_small():
     for p in (2, 3, 5):
         for r in range(1, 16):
